@@ -1,8 +1,8 @@
 """Abstract interpretation of structured-language (lang) models.
 
-The embedded runtime executes lang programs through
-:class:`repro.lang.interp._Interpreter`; this module walks the same AST
-*abstractly*, mirroring the interpreter's semantics — including the
+The embedded runtime executes lang programs through the closures
+:func:`repro.lang.interp.compile_program` builds; this module walks the
+same AST *abstractly*, mirroring the interpreter's semantics — including the
 ``(label, *loop_indices)`` addressing scheme of Section 5.4 — over the
 value lattice of :mod:`repro.analysis.absint.values`.
 
@@ -109,7 +109,7 @@ def _div(a: Any, b: Any) -> Any:
 
 
 class _LangAbstractInterpreter:
-    """Mirrors :class:`repro.lang.interp._Interpreter` over the lattice."""
+    """Mirrors :func:`repro.lang.interp.compile_program`'s semantics over the lattice."""
 
     def __init__(self, model: Model, profile: StaticProfile):
         fn = model.fn

@@ -25,7 +25,7 @@ from dataclasses import fields
 from typing import Dict, List, Tuple
 
 from ..core.correspondence import Correspondence
-from ..lang.analysis import equal_modulo_labels, random_expressions
+from ..lang.analysis import equal_modulo_labels, random_expressions, strip_labels
 from ..lang.ast import Node, RandomExpr, Seq, Stmt
 
 __all__ = [
@@ -50,18 +50,22 @@ def flatten_seq(stmt: Stmt) -> List[Stmt]:
 
 def lcs_pairs(old: List[Stmt], new: List[Stmt]) -> List[Tuple[int, int]]:
     """Indices of a longest common subsequence under equality-modulo-labels."""
+    # Strip each statement's labels once, then compare stripped nodes
+    # with plain ``==``: O(n + m) strips instead of one pair per cell.
+    old_keys = [strip_labels(stmt) for stmt in old]
+    new_keys = [strip_labels(stmt) for stmt in new]
     n, m = len(old), len(new)
     lengths = [[0] * (m + 1) for _ in range(n + 1)]
     for i in range(n - 1, -1, -1):
         for j in range(m - 1, -1, -1):
-            if equal_modulo_labels(old[i], new[j]):
+            if old_keys[i] == new_keys[j]:
                 lengths[i][j] = 1 + lengths[i + 1][j + 1]
             else:
                 lengths[i][j] = max(lengths[i + 1][j], lengths[i][j + 1])
     pairs: List[Tuple[int, int]] = []
     i = j = 0
     while i < n and j < m:
-        if equal_modulo_labels(old[i], new[j]):
+        if old_keys[i] == new_keys[j]:
             pairs.append((i, j))
             i += 1
             j += 1

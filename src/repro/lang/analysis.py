@@ -7,7 +7,8 @@ Used by the edit/diff machinery (Section 6) and by tests:
 * :func:`free_variables` / :func:`assigned_variables`;
 * :func:`equal_modulo_labels` — structural AST equality ignoring
   random-expression labels (labels encode source positions, so
-  pretty-print round-trips change them);
+  pretty-print round-trips change them); :func:`strip_labels` gives the
+  label-free copy it compares, for callers comparing one node many times;
 * :func:`relabel` — canonical relabeling for comparing programs.
 """
 
@@ -36,6 +37,7 @@ __all__ = [
     "free_variables",
     "assigned_variables",
     "equal_modulo_labels",
+    "strip_labels",
     "relabel",
 ]
 
@@ -151,7 +153,7 @@ def _free_stmt(stmt: Node, bound: Set[str], free: Set[str]) -> Set[str]:
     raise ValueError(f"unknown statement {stmt!r}")
 
 
-def _strip_labels(node: Node) -> Node:
+def strip_labels(node: Node) -> Node:
     """A copy of the AST with every position-derived label blanked
     (random expressions and call sites)."""
     if not is_dataclass(node):
@@ -160,10 +162,10 @@ def _strip_labels(node: Node) -> Node:
     for field_info in fields(node):
         value = getattr(node, field_info.name)
         if isinstance(value, Node):
-            updates[field_info.name] = _strip_labels(value)
+            updates[field_info.name] = strip_labels(value)
         elif isinstance(value, tuple) and any(isinstance(item, Node) for item in value):
             updates[field_info.name] = tuple(
-                _strip_labels(item) if isinstance(item, Node) else item
+                strip_labels(item) if isinstance(item, Node) else item
                 for item in value
             )
     if isinstance(node, (RandomExpr, Call)):
@@ -173,7 +175,7 @@ def _strip_labels(node: Node) -> Node:
 
 def equal_modulo_labels(a: Node, b: Node) -> bool:
     """Structural equality ignoring random-expression labels."""
-    return _strip_labels(a) == _strip_labels(b)
+    return strip_labels(a) == strip_labels(b)
 
 
 def relabel(node: Node, prefix: str = "r") -> Node:

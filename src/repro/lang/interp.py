@@ -7,6 +7,15 @@ enumeration, MCMC, and trace translation — applies unchanged to
 structured-language programs.  :func:`lang_model` wraps a program as a
 :class:`~repro.core.model.Model`.
 
+A program is compiled once (:func:`compile_program`) into nested Python
+closures, one per AST node: the node kind is dispatched at compile time
+and its constants and children are bound into the closure, so a run
+performs no per-node type tests.  A lang model compiles on its first
+run and keeps the compiled form for every later run — the forward and
+backward kernels of trace translation run the same program once per
+particle.  The small-step machine (:mod:`repro.lang.smallstep`) is the
+reference semantics the tests check the compiled form against.
+
 Random choices are addressed by ``(label, *loop_indices)``: the random
 expression's syntactic label plus the values of the enclosing loop
 variables (for ``for`` loops) or iteration counters (for ``while``
@@ -15,7 +24,8 @@ loops), the naming scheme of Section 5.4 / [44].
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Tuple
+import operator
+from typing import Any, Callable, Dict, List, Optional, Tuple, Union
 
 from ..core.handlers import TraceHandler
 from ..core.model import Model
@@ -52,6 +62,8 @@ from .ast import (
 
 __all__ = [
     "interpret",
+    "compile_program",
+    "CompiledProgram",
     "lang_model",
     "EvalError",
     "choice_address",
@@ -73,10 +85,6 @@ class _ReturnSignal(Exception):
         self.value = value
 
 
-def _truthy(value: Any) -> bool:
-    return value != 0
-
-
 def choice_address(label: str, loop_indices: Tuple[int, ...]) -> Tuple:
     """The run-time address of a random choice (Section 5.4)."""
     return (label,) + tuple(loop_indices)
@@ -84,239 +92,443 @@ def choice_address(label: str, loop_indices: Tuple[int, ...]) -> Tuple:
 
 #: Guard against runaway recursion through user-defined functions.  Kept
 #: well below Python's own frame limit (each language-level call expands
-#: to several interpreter frames) so the error is a clean ``EvalError``.
+#: to several closure frames) so the error is a clean ``EvalError``.
 MAX_CALL_DEPTH = 100
 
 
-class _Interpreter:
-    def __init__(self, handler: TraceHandler, env: Optional[Dict[str, Any]] = None):
+class _Run:
+    """Mutable state of one program run, shared by its compiled closures.
+
+    The environment is not kept here: every compiled closure takes the
+    current scope's environment as its second argument, so a function
+    call simply passes the callee a fresh scope.
+    """
+
+    __slots__ = ("handler", "loop_indices", "functions", "call_depth", "samples", "observes")
+
+    def __init__(self, handler: TraceHandler):
         self.handler = handler
-        self.env: Dict[str, Any] = dict(env) if env else {}
         #: Address context: loop indices (ints) interleaved with call-site
         #: labels (strings), in execution order (Section 5.4 / [44]).
         self.loop_indices: List[Any] = []
-        self.functions: Dict[str, FuncDef] = {}
+        #: name -> (parameters, compiled body), bound as ``def`` runs.
+        self.functions: Dict[str, Tuple[Tuple[str, ...], "Code"]] = {}
         self.call_depth = 0
-        self.return_value: Any = None
         #: Instrumentation tallies (two integer increments per choice).
         self.samples = 0
         self.observes = 0
 
-    # -- expressions ----------------------------------------------------------
 
-    def eval(self, expr: Expr) -> Any:
-        if isinstance(expr, Const):
-            return expr.value
-        if isinstance(expr, Var):
-            if expr.name not in self.env:
-                raise EvalError(f"unbound variable {expr.name!r}")
-            return self.env[expr.name]
-        if isinstance(expr, Unary):
-            operand = self.eval(expr.operand)
-            if expr.op == "-":
-                return -operand
-            if expr.op == "!":
-                return 0 if _truthy(operand) else 1
-            raise EvalError(f"unknown unary operator {expr.op!r}")
-        if isinstance(expr, Binary):
-            return self._eval_binary(expr)
-        if isinstance(expr, Ternary):
-            if _truthy(self.eval(expr.cond)):
-                return self.eval(expr.then)
-            return self.eval(expr.otherwise)
-        if isinstance(expr, Index):
-            array = self.eval(expr.array)
-            index = self.eval(expr.index)
-            if not isinstance(array, list):
-                raise EvalError(f"indexing a non-array value {array!r}")
-            i = int(index)
-            if not 0 <= i < len(array):
-                raise EvalError(f"index {i} out of bounds for array of size {len(array)}")
-            return array[i]
-        if isinstance(expr, ArrayExpr):
-            size = int(self.eval(expr.size))
+#: A compiled expression or statement: called with the run state and the
+#: current scope's environment; expressions return their value.
+Code = Callable[[_Run, Dict[str, Any]], Any]
+
+
+class CompiledProgram:
+    """A program compiled once into nested closures (:func:`compile_program`)."""
+
+    __slots__ = ("code",)
+
+    def __init__(self, code: Code):
+        self.code = code
+
+
+def compile_program(program: Stmt) -> CompiledProgram:
+    """Compile ``program`` into closures, one per AST node.
+
+    Each node's kind is dispatched here, once; its constants and child
+    closures are bound into the closure that runs it, so executing the
+    result performs no per-node type tests.  Errors a node raises at run
+    time (unbound variables, bad indices, unknown nodes) stay run-time
+    errors: compiling never raises and never evaluates anything.
+    """
+    return CompiledProgram(_compile_stmt(program))
+
+
+# -- expressions ----------------------------------------------------------------
+
+
+def _compile_expr(expr: Expr) -> Code:
+    if isinstance(expr, Const):
+        value = expr.value
+        return lambda run, env: value
+    if isinstance(expr, Var):
+        name = expr.name
+
+        def variable(run: _Run, env: Dict[str, Any]) -> Any:
+            try:
+                return env[name]
+            except KeyError:
+                raise EvalError(f"unbound variable {name!r}") from None
+
+        return variable
+    if isinstance(expr, Unary):
+        return _compile_unary(expr.op, _compile_expr(expr.operand))
+    if isinstance(expr, Binary):
+        return _compile_binary(expr.op, _compile_expr(expr.left), _compile_expr(expr.right))
+    if isinstance(expr, Ternary):
+        cond = _compile_expr(expr.cond)
+        then = _compile_expr(expr.then)
+        otherwise = _compile_expr(expr.otherwise)
+        return lambda run, env: (
+            then(run, env) if cond(run, env) != 0 else otherwise(run, env)
+        )
+    if isinstance(expr, Index):
+        return _compile_index(_compile_expr(expr.array), _compile_expr(expr.index))
+    if isinstance(expr, ArrayExpr):
+        size_code = _compile_expr(expr.size)
+        fill_code = _compile_expr(expr.fill)
+
+        def array(run: _Run, env: Dict[str, Any]) -> Any:
+            size = int(size_code(run, env))
             if size < 0:
                 raise EvalError(f"negative array size {size}")
-            fill = self.eval(expr.fill)
-            return [fill] * size
-        if isinstance(expr, RandomExpr):
-            dist = distribution_of(expr, self.eval)
-            address = choice_address(expr.label, tuple(self.loop_indices))
-            self.samples += 1
-            return self.handler.sample(dist, address)
-        if isinstance(expr, Call):
-            return self._call(expr)
-        raise EvalError(f"unknown expression {expr!r}")
+            return [fill_code(run, env)] * size
 
-    def _call(self, expr: Call) -> Any:
-        function = self.functions.get(expr.name)
+        return array
+    if isinstance(expr, RandomExpr):
+        build = _compile_distribution(expr)
+        label = expr.label
+
+        def sample(run: _Run, env: Dict[str, Any]) -> Any:
+            dist = build(run, env)
+            run.samples += 1
+            return run.handler.sample(dist, (label, *run.loop_indices))
+
+        return sample
+    if isinstance(expr, Call):
+        return _compile_call(expr)
+    return _raising(f"unknown expression {expr!r}")
+
+
+def _raising(message: str) -> Code:
+    """A closure that fails the run when (and only if) it executes."""
+
+    def fail(run: _Run, env: Dict[str, Any]) -> Any:
+        raise EvalError(message)
+
+    return fail
+
+
+def _compile_unary(op: str, operand: Code) -> Code:
+    if op == "-":
+        return lambda run, env: -operand(run, env)
+    if op == "!":
+        return lambda run, env: 0 if operand(run, env) != 0 else 1
+
+    def unknown(run: _Run, env: Dict[str, Any]) -> Any:
+        operand(run, env)
+        raise EvalError(f"unknown unary operator {op!r}")
+
+    return unknown
+
+
+#: Arithmetic and comparison operators; comparisons yield 1 or 0.
+_ARITHMETIC = {"+": operator.add, "-": operator.sub, "*": operator.mul}
+_COMPARISONS = {
+    "==": operator.eq,
+    "!=": operator.ne,
+    "<": operator.lt,
+    "<=": operator.le,
+    ">": operator.gt,
+    ">=": operator.ge,
+}
+
+
+def _compile_binary(op: str, left: Code, right: Code) -> Code:
+    # Operands run left to right; ``&&``/``||`` short-circuit.
+    if op == "&&":
+        return lambda run, env: (
+            (1 if right(run, env) != 0 else 0) if left(run, env) != 0 else 0
+        )
+    if op == "||":
+        return lambda run, env: (
+            1 if left(run, env) != 0 else (1 if right(run, env) != 0 else 0)
+        )
+    if op in _ARITHMETIC:
+        apply = _ARITHMETIC[op]
+        return lambda run, env: apply(left(run, env), right(run, env))
+    if op in _COMPARISONS:
+        test = _COMPARISONS[op]
+        return lambda run, env: 1 if test(left(run, env), right(run, env)) else 0
+    if op == "/":
+
+        def divide(run: _Run, env: Dict[str, Any]) -> Any:
+            numerator = left(run, env)
+            denominator = right(run, env)
+            if denominator == 0:
+                raise EvalError("division by zero")
+            return numerator / denominator
+
+        return divide
+
+    def unknown(run: _Run, env: Dict[str, Any]) -> Any:
+        left(run, env)
+        right(run, env)
+        raise EvalError(f"unknown binary operator {op!r}")
+
+    return unknown
+
+
+def _compile_index(array_code: Code, index_code: Code) -> Code:
+    def index(run: _Run, env: Dict[str, Any]) -> Any:
+        array = array_code(run, env)
+        position = index_code(run, env)
+        if not isinstance(array, list):
+            raise EvalError(f"indexing a non-array value {array!r}")
+        i = int(position)
+        if not 0 <= i < len(array):
+            raise EvalError(f"index {i} out of bounds for array of size {len(array)}")
+        return array[i]
+
+    return index
+
+
+def _compile_distribution(expr: RandomExpr) -> Code:
+    """A closure building the primitive distribution ``expr`` denotes
+    (the compiled form of :func:`distribution_of`)."""
+    if isinstance(expr, FlipExpr):
+        prob = _compile_expr(expr.prob)
+        return lambda run, env: _flip(prob(run, env))
+    if isinstance(expr, UniformExpr):
+        low = _compile_expr(expr.low)
+        high = _compile_expr(expr.high)
+        return lambda run, env: _uniform(int(low(run, env)), int(high(run, env)))
+    if isinstance(expr, GaussExpr):
+        mean = _compile_expr(expr.mean)
+        std = _compile_expr(expr.std)
+        return lambda run, env: _gauss(float(mean(run, env)), float(std(run, env)))
+    return _raising(f"unknown random expression {expr!r}")
+
+
+def _compile_call(expr: Call) -> Code:
+    name, label = expr.name, expr.label
+    args = tuple(_compile_expr(arg) for arg in expr.args)
+
+    def call(run: _Run, env: Dict[str, Any]) -> Any:
+        function = run.functions.get(name)
         if function is None:
-            raise EvalError(f"call to undefined function {expr.name!r}")
-        if len(expr.args) != len(function.params):
+            raise EvalError(f"call to undefined function {name!r}")
+        params, body = function
+        if len(args) != len(params):
             raise EvalError(
-                f"function {expr.name!r} takes {len(function.params)} argument(s), "
-                f"got {len(expr.args)}"
+                f"function {name!r} takes {len(params)} argument(s), "
+                f"got {len(args)}"
             )
-        if self.call_depth >= MAX_CALL_DEPTH:
+        if run.call_depth >= MAX_CALL_DEPTH:
             raise EvalError(
                 f"call depth exceeded {MAX_CALL_DEPTH} (runaway recursion "
-                f"through {expr.name!r}?)"
+                f"through {name!r}?)"
             )
-        arguments = [self.eval(arg) for arg in expr.args]
-        saved_env = self.env
-        self.env = dict(zip(function.params, arguments))
-        self.loop_indices.append(expr.label)
-        self.call_depth += 1
+        scope = dict(zip(params, [arg(run, env) for arg in args]))
+        run.loop_indices.append(label)
+        run.call_depth += 1
         try:
-            self.exec(function.body)
+            body(run, scope)
         except _ReturnSignal as signal:
             return signal.value
         finally:
-            self.env = saved_env
-            self.loop_indices.pop()
-            self.call_depth -= 1
-        raise EvalError(f"function {expr.name!r} did not return a value")
+            run.loop_indices.pop()
+            run.call_depth -= 1
+        raise EvalError(f"function {name!r} did not return a value")
 
-    def _eval_binary(self, expr: Binary) -> Any:
-        op = expr.op
-        if op == "&&":
-            left = self.eval(expr.left)
-            if not _truthy(left):
-                return 0
-            return 1 if _truthy(self.eval(expr.right)) else 0
-        if op == "||":
-            left = self.eval(expr.left)
-            if _truthy(left):
-                return 1
-            return 1 if _truthy(self.eval(expr.right)) else 0
-        left = self.eval(expr.left)
-        right = self.eval(expr.right)
-        if op == "+":
-            return left + right
-        if op == "-":
-            return left - right
-        if op == "*":
-            return left * right
-        if op == "/":
-            if right == 0:
-                raise EvalError("division by zero")
-            return left / right
-        if op == "==":
-            return 1 if left == right else 0
-        if op == "!=":
-            return 1 if left != right else 0
-        if op == "<":
-            return 1 if left < right else 0
-        if op == "<=":
-            return 1 if left <= right else 0
-        if op == ">":
-            return 1 if left > right else 0
-        if op == ">=":
-            return 1 if left >= right else 0
-        raise EvalError(f"unknown binary operator {op!r}")
+    return call
 
-    # -- statements -------------------------------------------------------------
 
-    def exec(self, stmt: Stmt) -> None:
-        if isinstance(stmt, Skip):
-            return
-        if isinstance(stmt, Assign):
-            self.env[stmt.name] = self.eval(stmt.expr)
-            return
-        if isinstance(stmt, IndexAssign):
-            if stmt.name not in self.env:
-                raise EvalError(f"unbound variable {stmt.name!r}")
-            array = self.env[stmt.name]
-            if not isinstance(array, list):
-                raise EvalError(f"index-assigning a non-array variable {stmt.name!r}")
-            index = int(self.eval(stmt.index))
-            if not 0 <= index < len(array):
-                raise EvalError(
-                    f"index {index} out of bounds for array of size {len(array)}"
-                )
-            value = self.eval(stmt.expr)
-            # Arrays are values: copy-on-write keeps earlier bindings intact.
-            updated = list(array)
-            updated[index] = value
-            self.env[stmt.name] = updated
-            return
-        if isinstance(stmt, Seq):
-            self.exec(stmt.first)
-            self.exec(stmt.second)
-            return
-        if isinstance(stmt, If):
-            if _truthy(self.eval(stmt.cond)):
-                self.exec(stmt.then)
+# -- statements -----------------------------------------------------------------
+
+
+def _skip(run: _Run, env: Dict[str, Any]) -> None:
+    return None
+
+
+def _statements(stmt: Seq) -> List[Stmt]:
+    """The statements of a ``Seq`` tree in execution order, minus ``skip``."""
+    result: List[Stmt] = []
+    pending: List[Stmt] = [stmt]
+    while pending:
+        node = pending.pop()
+        if isinstance(node, Seq):
+            pending.append(node.second)
+            pending.append(node.first)
+        elif not isinstance(node, Skip):
+            result.append(node)
+    return result
+
+
+def _compile_stmt(stmt: Stmt) -> Code:
+    if isinstance(stmt, Skip):
+        return _skip
+    if isinstance(stmt, Assign):
+        name = stmt.name
+        value = _compile_expr(stmt.expr)
+
+        def assign(run: _Run, env: Dict[str, Any]) -> None:
+            env[name] = value(run, env)
+
+        return assign
+    if isinstance(stmt, IndexAssign):
+        return _compile_index_assign(
+            stmt.name, _compile_expr(stmt.index), _compile_expr(stmt.expr)
+        )
+    if isinstance(stmt, Seq):
+        return _compile_block([_compile_stmt(s) for s in _statements(stmt)])
+    if isinstance(stmt, If):
+        cond = _compile_expr(stmt.cond)
+        then = _compile_stmt(stmt.then)
+        otherwise = _compile_stmt(stmt.otherwise)
+
+        def branch(run: _Run, env: Dict[str, Any]) -> None:
+            if cond(run, env) != 0:
+                then(run, env)
             else:
-                self.exec(stmt.otherwise)
-            return
-        if isinstance(stmt, Observe):
-            dist = distribution_of(stmt.random, self.eval)
-            value = self.eval(stmt.value)
-            address = choice_address(stmt.random.label, tuple(self.loop_indices))
-            self.observes += 1
-            self.handler.observe(dist, value, address)
-            return
-        if isinstance(stmt, For):
-            low = int(self.eval(stmt.low))
-            high = int(self.eval(stmt.high))
-            for i in range(low, high):
-                self.env[stmt.var] = i
-                self.loop_indices.append(i)
-                try:
-                    self.exec(stmt.body)
-                finally:
-                    self.loop_indices.pop()
-            return
-        if isinstance(stmt, While):
-            # The condition is evaluated inside the iteration's index so
-            # that a random condition (the geometric loop of Figure 6)
-            # gets a fresh address each round.
-            iteration = 0
-            while True:
-                self.loop_indices.append(iteration)
-                try:
-                    if not _truthy(self.eval(stmt.cond)):
-                        break
-                    self.exec(stmt.body)
-                finally:
-                    self.loop_indices.pop()
-                iteration += 1
-            return
-        if isinstance(stmt, Return):
-            raise _ReturnSignal(self.eval(stmt.expr))
-        if isinstance(stmt, FuncDef):
-            if stmt.name in self.functions:
-                raise EvalError(f"function {stmt.name!r} is already defined")
-            self.functions[stmt.name] = stmt
-            return
-        raise EvalError(f"unknown statement {stmt!r}")
+                otherwise(run, env)
+
+        return branch
+    if isinstance(stmt, Observe):
+        return _compile_observe(stmt)
+    if isinstance(stmt, For):
+        return _compile_for(
+            stmt.var, _compile_expr(stmt.low), _compile_expr(stmt.high),
+            _compile_stmt(stmt.body),
+        )
+    if isinstance(stmt, While):
+        return _compile_while(_compile_expr(stmt.cond), _compile_stmt(stmt.body))
+    if isinstance(stmt, Return):
+        value = _compile_expr(stmt.expr)
+
+        def return_(run: _Run, env: Dict[str, Any]) -> None:
+            raise _ReturnSignal(value(run, env))
+
+        return return_
+    if isinstance(stmt, FuncDef):
+        name = stmt.name
+        function = (stmt.params, _compile_stmt(stmt.body))
+
+        def define(run: _Run, env: Dict[str, Any]) -> None:
+            if name in run.functions:
+                raise EvalError(f"function {name!r} is already defined")
+            run.functions[name] = function
+
+        return define
+    return _raising(f"unknown statement {stmt!r}")
+
+
+def _compile_block(codes: List[Code]) -> Code:
+    if not codes:
+        return _skip
+    if len(codes) == 1:
+        return codes[0]
+    block_codes = tuple(codes)
+
+    def block(run: _Run, env: Dict[str, Any]) -> None:
+        for code in block_codes:
+            code(run, env)
+
+    return block
+
+
+def _compile_index_assign(name: str, index_code: Code, value_code: Code) -> Code:
+    def index_assign(run: _Run, env: Dict[str, Any]) -> None:
+        if name not in env:
+            raise EvalError(f"unbound variable {name!r}")
+        array = env[name]
+        if not isinstance(array, list):
+            raise EvalError(f"index-assigning a non-array variable {name!r}")
+        index = int(index_code(run, env))
+        if not 0 <= index < len(array):
+            raise EvalError(f"index {index} out of bounds for array of size {len(array)}")
+        value = value_code(run, env)
+        # Arrays are values: copy-on-write keeps earlier bindings intact.
+        updated = list(array)
+        updated[index] = value
+        env[name] = updated
+
+    return index_assign
+
+
+def _compile_observe(stmt: Observe) -> Code:
+    build = _compile_distribution(stmt.random)
+    value_code = _compile_expr(stmt.value)
+    # A malformed ``random`` fails in ``build`` before the label is used.
+    label = getattr(stmt.random, "label", None)
+
+    def observe(run: _Run, env: Dict[str, Any]) -> None:
+        dist = build(run, env)
+        value = value_code(run, env)
+        run.observes += 1
+        run.handler.observe(dist, value, (label, *run.loop_indices))
+
+    return observe
+
+
+def _compile_for(var: str, low_code: Code, high_code: Code, body: Code) -> Code:
+    def loop(run: _Run, env: Dict[str, Any]) -> None:
+        low = int(low_code(run, env))
+        high = int(high_code(run, env))
+        indices = run.loop_indices
+        for i in range(low, high):
+            env[var] = i
+            indices.append(i)
+            try:
+                body(run, env)
+            finally:
+                indices.pop()
+
+    return loop
+
+
+def _compile_while(cond: Code, body: Code) -> Code:
+    def loop(run: _Run, env: Dict[str, Any]) -> None:
+        # The condition is evaluated inside the iteration's index so
+        # that a random condition (the geometric loop of Figure 6) gets
+        # a fresh address each round.
+        indices = run.loop_indices
+        iteration = 0
+        while True:
+            indices.append(iteration)
+            try:
+                if not (cond(run, env) != 0):
+                    break
+                body(run, env)
+            finally:
+                indices.pop()
+            iteration += 1
+
+    return loop
+
+
+def _flip(prob: Any) -> Distribution:
+    if not 0.0 <= prob <= 1.0:
+        raise EvalError(f"flip probability {prob} outside [0, 1]")
+    return Flip(float(prob))
+
+
+def _uniform(low: int, high: int) -> Distribution:
+    if high < low:
+        raise EvalError(f"uniform({low}, {high}) has an empty range")
+    return UniformDiscrete(low, high)
+
+
+def _gauss(mean: float, std: float) -> Distribution:
+    if std <= 0:
+        raise EvalError(f"gauss std {std} must be positive")
+    return Normal(mean, std)
 
 
 def distribution_of(expr: RandomExpr, eval_fn) -> Distribution:
     """The primitive distribution denoted by a random expression."""
     if isinstance(expr, FlipExpr):
-        prob = eval_fn(expr.prob)
-        if not 0.0 <= prob <= 1.0:
-            raise EvalError(f"flip probability {prob} outside [0, 1]")
-        return Flip(float(prob))
+        return _flip(eval_fn(expr.prob))
     if isinstance(expr, UniformExpr):
-        low = int(eval_fn(expr.low))
-        high = int(eval_fn(expr.high))
-        if high < low:
-            raise EvalError(f"uniform({low}, {high}) has an empty range")
-        return UniformDiscrete(low, high)
+        return _uniform(int(eval_fn(expr.low)), int(eval_fn(expr.high)))
     if isinstance(expr, GaussExpr):
-        mean = float(eval_fn(expr.mean))
-        std = float(eval_fn(expr.std))
-        if std <= 0:
-            raise EvalError(f"gauss std {std} must be positive")
-        return Normal(mean, std)
+        return _gauss(float(eval_fn(expr.mean)), float(eval_fn(expr.std)))
     raise EvalError(f"unknown random expression {expr!r}")
 
 
 def interpret(
-    program: Stmt,
+    program: Union[Stmt, CompiledProgram],
     handler: TraceHandler,
     env: Optional[Dict[str, Any]] = None,
     *,
@@ -325,29 +537,34 @@ def interpret(
 ) -> Any:
     """Execute ``program`` under ``handler``; return its ``return`` value.
 
-    Programs without an explicit ``return`` return the final environment
-    (a dict), which is convenient for tests.  With a real ``tracer``,
-    the run is recorded as one ``model.run`` span carrying sample and
-    observe counts; ``metrics`` accrues the same counts globally.
+    ``program`` is an AST (compiled for this call) or the result of
+    :func:`compile_program`, which callers that run one program many
+    times compile once.  Programs without an explicit ``return`` return
+    the final environment (a dict), which is convenient for tests.  With
+    a real ``tracer``, the run is recorded as one ``model.run`` span
+    carrying sample and observe counts; ``metrics`` accrues the same
+    counts globally.
     """
-    interpreter = _Interpreter(handler, env)
+    compiled = program if isinstance(program, CompiledProgram) else compile_program(program)
+    run = _Run(handler)
+    scope: Dict[str, Any] = dict(env) if env else {}
     try:
         if tracer.enabled:
             with tracer.span("model.run") as span:
                 try:
-                    interpreter.exec(program)
+                    compiled.code(run, scope)
                 finally:
-                    span.count("choices.sampled", interpreter.samples)
-                    span.count("choices.observed", interpreter.observes)
+                    span.count("choices.sampled", run.samples)
+                    span.count("choices.observed", run.observes)
         else:
-            interpreter.exec(program)
+            compiled.code(run, scope)
     except _ReturnSignal as signal:
         return signal.value
     finally:
         if metrics.enabled:
-            metrics.counter("lang.samples").inc(interpreter.samples)
-            metrics.counter("lang.observes").inc(interpreter.observes)
-    return dict(interpreter.env)
+            metrics.counter("lang.samples").inc(run.samples)
+            metrics.counter("lang.observes").inc(run.observes)
+    return dict(scope)
 
 
 class _LangModelFn:
@@ -356,10 +573,12 @@ class _LangModelFn:
     A closure would make every lang model unpicklable and rule out the
     ``process`` particle executor; this class keeps the captured state
     (program AST, initial bindings, observability sinks) in plain
-    attributes instead.
+    attributes instead.  The program is compiled on the first run and
+    the compiled form is kept here, but never pickled: an unpickled copy
+    compiles again on its own first run.
     """
 
-    __slots__ = ("program", "initial", "tracer", "metrics")
+    __slots__ = ("program", "initial", "tracer", "metrics", "compiled")
 
     def __init__(
         self,
@@ -372,11 +591,22 @@ class _LangModelFn:
         self.initial = initial
         self.tracer = tracer
         self.metrics = metrics
+        self.compiled: Optional[CompiledProgram] = None
 
     def __call__(self, t: TraceHandler) -> Any:
+        compiled = self.compiled
+        if compiled is None:
+            compiled = self.compiled = compile_program(self.program)
         return interpret(
-            self.program, t, self.initial, tracer=self.tracer, metrics=self.metrics
+            compiled, t, self.initial, tracer=self.tracer, metrics=self.metrics
         )
+
+    def __getstate__(self) -> Tuple[Any, ...]:
+        return (self.program, self.initial, self.tracer, self.metrics)
+
+    def __setstate__(self, state: Tuple[Any, ...]) -> None:
+        self.program, self.initial, self.tracer, self.metrics = state
+        self.compiled = None
 
 
 def lang_model(

@@ -14,10 +14,11 @@ into the service's commit protocol:
 The commit protocol is write-ahead-of-ack: a mutation checkpoint is
 fsynced to disk **before** the server acknowledges the request, so "the
 client saw an ok" implies "the state survives SIGKILL".  Conversely a
-request that fails — a translation fault, a deadline cancellation — is
-rolled back by :meth:`InferenceSession.submit`'s transactional
-semantics and never checkpointed, so failures cannot corrupt state
-either.
+request that fails — a translation fault, a deadline cancellation, a
+checkpoint write that fails — is rolled back by
+:meth:`InferenceSession.submit`'s transactional semantics (the
+checkpoint is written inside the transaction), so the live session is
+never ahead of disk and failures cannot corrupt state either.
 
 On restart, :meth:`DurableSessionStore.recover` replays the newest
 *valid* snapshot of every session: torn, zero-byte, or truncated files
@@ -32,6 +33,7 @@ from __future__ import annotations
 
 import shutil
 import threading
+import weakref
 from pathlib import Path
 from typing import Any, Dict, List, Optional
 
@@ -137,6 +139,13 @@ class DurableSessionStore:
         )
         #: session_id -> {"tenant", "program", "env"}; tiny, always live.
         self._meta: Dict[str, Dict[str, Any]] = {}
+        #: live session -> (source, parsed program) of its current
+        #: program: an edit's new program is the next edit's old one.
+        #: Weak keys drop the entry with the session object (close,
+        #: eviction, recovery refresh); a failed edit drops it too.
+        self._programs: "weakref.WeakKeyDictionary[InferenceSession, Any]" = (
+            weakref.WeakKeyDictionary()
+        )
         self._lock = threading.RLock()
 
     # -- helpers ---------------------------------------------------------------
@@ -267,9 +276,14 @@ class DurableSessionStore:
         collection = importance_sampling(model, rng, particles).resample(rng)
         session = self.manager.create(session_id, collection, rng=rng)
         meta = {"tenant": tenant, "program": source, "env": env}
+        try:
+            self._commit(session, meta)
+        except BaseException:
+            self.manager.close(session_id, persist=False)
+            raise
         with self._lock:
             self._meta[session_id] = meta
-        self._commit(session, meta)
+            self._programs[session] = (source, program)
         return {
             "session": session_id,
             "num_particles": len(collection),
@@ -286,15 +300,23 @@ class DurableSessionStore:
     ) -> Dict[str, Any]:
         """Translate the session's collection across a program edit.
 
-        Parses and diffs the programs *before* touching the session, so
-        a poison edit is rejected without burning worker time; commits
-        the checkpoint before returning, so a returned summary is a
-        durable promise.
+        Parses the edited program *before* touching the session, so a
+        poison edit is rejected without burning worker time.  The
+        current program was parsed by the previous edit (or the create)
+        and is reused while the session stays live.  The checkpoint is
+        committed inside the session's transaction, before returning:
+        a returned summary is a durable promise, and a failed commit
+        leaves the session and its metadata as they were before the edit.
         """
         meta = self.meta(session_id)
-        old_program = self._parse(meta["program"], "current program")
         new_program = self._parse(new_source, "edited program")
         session = self.manager.get(session_id)
+        with self._lock:
+            parsed = self._programs.pop(session, None)
+        if parsed is not None and parsed[0] == meta["program"]:
+            old_program = parsed[1]
+        else:
+            old_program = self._parse(meta["program"], "current program")
         edit_index = session.num_edits
         source_model = lang_model(
             old_program, env=meta["env"], name=f"e{edit_index}"
@@ -306,11 +328,13 @@ class DurableSessionStore:
         translator = CorrespondenceTranslator(
             source_model, target_model, correspondence
         )
-        step = session.submit(translator, hooks=hooks)
-        meta["program"] = new_source
+        meta = dict(meta, program=new_source)
+        step = session.submit(
+            translator, hooks=hooks, commit=lambda live: self._commit(live, meta)
+        )
         with self._lock:
             self._meta[session_id] = meta
-        self._commit(session, meta)
+            self._programs[session] = (new_source, new_program)
         stats = step.stats
         return {
             "session": session_id,

@@ -65,9 +65,10 @@ from __future__ import annotations
 import base64
 import dataclasses
 import json
+import math
 import pickle
 import struct
-from typing import Any, Dict, List, Type
+from typing import Any, Callable, Dict, List, Optional, Tuple, Type
 
 import numpy as np
 
@@ -135,17 +136,23 @@ DISTRIBUTION_REGISTRY: Dict[str, Type] = _distribution_registry()
 AST_REGISTRY: Dict[str, Type] = _dataclass_registry(lang_ast, lang_ast.Node)
 
 
-def _init_field_values(obj: Any) -> Dict[str, Any]:
-    """The constructor-visible fields of a dataclass instance.
+#: dataclass -> names of its constructor-visible fields, filled on first use.
+_INIT_FIELDS: Dict[type, Tuple[str, ...]] = {}
+
+
+def _encode_init_fields(obj: Any) -> Dict[str, Any]:
+    """The encoded constructor-visible fields of a dataclass instance.
 
     Derived fields (``init=False``, e.g. ``LogCategorical._log_norm``)
     are recomputed by ``__init__`` on decode, so they are not stored.
     """
-    return {
-        f.name: getattr(obj, f.name)
-        for f in dataclasses.fields(obj)
-        if f.init
-    }
+    cls = type(obj)
+    names = _INIT_FIELDS.get(cls)
+    if names is None:
+        names = _INIT_FIELDS[cls] = tuple(
+            f.name for f in dataclasses.fields(cls) if f.init
+        )
+    return {name: encode_value(getattr(obj, name)) for name in names}
 
 
 # ---------------------------------------------------------------------------
@@ -159,13 +166,11 @@ def _init_field_values(obj: Any) -> Dict[str, Any]:
 
 
 def _encode_float(value: float) -> Any:
-    if value == float("inf"):
-        return {"$f": "inf"}
-    if value == float("-inf"):
-        return {"$f": "-inf"}
+    if math.isfinite(value):
+        return value
     if value != value:  # NaN
         return {"$f": "nan"}
-    return value
+    return {"$f": "inf"} if value > 0 else {"$f": "-inf"}
 
 
 def _encode_record(record: Any) -> Dict[str, Any]:
@@ -418,98 +423,121 @@ def _decode_rng(state: Any) -> np.random.Generator:
 # -- the dispatcher ----------------------------------------------------------
 
 
+def _identity(value: Any) -> Any:
+    return value
+
+
+def _encode_ndarray(value: np.ndarray) -> Any:
+    return {
+        "$nd": {
+            "dtype": str(value.dtype),
+            "shape": list(value.shape),
+            "data": [encode_value(entry) for entry in value.ravel().tolist()],
+        }
+    }
+
+
+def _encode_dict(value: Dict[Any, Any]) -> Any:
+    if all(isinstance(k, str) and not k.startswith("$") for k in value):
+        return {k: encode_value(v) for k, v in value.items()}
+    return {"$d": [[encode_value(k), encode_value(v)] for k, v in value.items()]}
+
+
+def _encode_distribution(value: Distribution) -> Any:
+    name = type(value).__name__
+    if name not in DISTRIBUTION_REGISTRY:
+        raise CodecError(
+            f"distribution {name} is not registered for serialization; "
+            "only the classes exported by repro.distributions round-trip"
+        )
+    return {"$dist": name, "p": _encode_init_fields(value)}
+
+
+def _encode_ast(value: lang_ast.Node) -> Any:
+    name = type(value).__name__
+    if name not in AST_REGISTRY:
+        raise CodecError(f"AST node {name} is not registered for serialization")
+    return {"$ast": name, "f": _encode_init_fields(value)}
+
+
+def _encode_derivation(value: DerivationReport) -> Any:
+    return {
+        "$derep": {
+            "source_name": value.source_name,
+            "target_name": value.target_name,
+            "matches": [
+                {
+                    "target": encode_value(m.target),
+                    "source": encode_value(m.source),
+                    "kind": m.kind,
+                    "confidence": encode_value(m.confidence),
+                    "evidence": m.evidence,
+                }
+                for m in value.matches
+            ],
+            "fresh": [encode_value(a) for a in value.fresh],
+            "dropped": [encode_value(a) for a in value.dropped],
+            "family_rules": encode_value(dict(value.family_rules)),
+            "notes": list(value.notes),
+            "source_complete": value.source_complete,
+            "target_complete": value.target_complete,
+        }
+    }
+
+
+Encoder = Callable[[Any], Any]
+
+#: (base class, encoder) in precedence order: a value is encoded by the
+#: first entry its type subclasses.  The order matters where a type has
+#: two registered bases — ``numpy.float64`` is both a ``float`` (kept
+#: as-is) and a ``numpy.floating`` (converted) — and it is what fixes
+#: the bytes the codec writes.
+_ENCODER_PRECEDENCE: Tuple[Tuple[type, Encoder], ...] = (
+    (type(None), _identity),
+    (bool, _identity),
+    (str, _identity),
+    (int, _identity),
+    (float, _encode_float),
+    (np.bool_, bool),
+    (np.integer, int),
+    (np.floating, lambda value: _encode_float(float(value))),
+    (np.ndarray, _encode_ndarray),
+    (tuple, lambda value: {"$t": [encode_value(entry) for entry in value]}),
+    (list, lambda value: [encode_value(entry) for entry in value]),
+    (dict, _encode_dict),
+    (bytes, lambda value: {"$b": base64.b64encode(value).decode("ascii")}),
+    (Distribution, _encode_distribution),
+    (lang_ast.Node, _encode_ast),
+    (Trace, lambda value: {"$trace": _encode_trace(value)}),
+    (GraphTrace, lambda value: {"$graph": _encode_graph_trace(value)}),
+    (WeightedCollection, lambda value: {"$coll": _encode_collection(value)}),
+    (ColumnarCollection, lambda value: {"$ccoll": _encode_columnar(value)}),
+    (SMCStats, lambda value: {"$stats": _encode_init_fields(value)}),
+    (DerivationReport, _encode_derivation),
+    (np.random.Generator, lambda value: {"$rng": _encode_rng(value)}),
+)
+
+#: Exact type -> encoder, filled on a type's first encoding.
+_ENCODERS: Dict[type, Encoder] = {}
+
+
+def _resolve_encoder(cls: type) -> Optional[Encoder]:
+    for base, encoder in _ENCODER_PRECEDENCE:
+        if issubclass(cls, base):
+            _ENCODERS[cls] = encoder
+            return encoder
+    return None
+
+
 def encode_value(value: Any) -> Any:
     """Encode any supported value into the tagged strict-JSON form."""
-    if value is None or isinstance(value, (bool, str)):
-        return value
-    if isinstance(value, int):
-        return value
-    if isinstance(value, float):
-        return _encode_float(value)
-    if isinstance(value, np.bool_):
-        return bool(value)
-    if isinstance(value, np.integer):
-        return int(value)
-    if isinstance(value, np.floating):
-        return _encode_float(float(value))
-    if isinstance(value, np.ndarray):
-        return {
-            "$nd": {
-                "dtype": str(value.dtype),
-                "shape": list(value.shape),
-                "data": [encode_value(entry) for entry in value.ravel().tolist()],
-            }
-        }
-    if isinstance(value, tuple):
-        return {"$t": [encode_value(entry) for entry in value]}
-    if isinstance(value, list):
-        return [encode_value(entry) for entry in value]
-    if isinstance(value, dict):
-        if all(isinstance(k, str) and not k.startswith("$") for k in value):
-            return {k: encode_value(v) for k, v in value.items()}
-        return {"$d": [[encode_value(k), encode_value(v)] for k, v in value.items()]}
-    if isinstance(value, bytes):
-        return {"$b": base64.b64encode(value).decode("ascii")}
-    if isinstance(value, Distribution):
-        name = type(value).__name__
-        if name not in DISTRIBUTION_REGISTRY:
-            raise CodecError(
-                f"distribution {name} is not registered for serialization; "
-                "only the classes exported by repro.distributions round-trip"
-            )
-        return {
-            "$dist": name,
-            "p": {k: encode_value(v) for k, v in _init_field_values(value).items()},
-        }
-    if isinstance(value, lang_ast.Node):
-        name = type(value).__name__
-        if name not in AST_REGISTRY:
-            raise CodecError(f"AST node {name} is not registered for serialization")
-        return {
-            "$ast": name,
-            "f": {k: encode_value(v) for k, v in _init_field_values(value).items()},
-        }
-    if isinstance(value, Trace):
-        return {"$trace": _encode_trace(value)}
-    if isinstance(value, GraphTrace):
-        return {"$graph": _encode_graph_trace(value)}
-    if isinstance(value, WeightedCollection):
-        return {"$coll": _encode_collection(value)}
-    if isinstance(value, ColumnarCollection):
-        return {"$ccoll": _encode_columnar(value)}
-    if isinstance(value, SMCStats):
-        return {
-            "$stats": {k: encode_value(v) for k, v in _init_field_values(value).items()}
-        }
-    if isinstance(value, DerivationReport):
-        return {
-            "$derep": {
-                "source_name": value.source_name,
-                "target_name": value.target_name,
-                "matches": [
-                    {
-                        "target": encode_value(m.target),
-                        "source": encode_value(m.source),
-                        "kind": m.kind,
-                        "confidence": encode_value(m.confidence),
-                        "evidence": m.evidence,
-                    }
-                    for m in value.matches
-                ],
-                "fresh": [encode_value(a) for a in value.fresh],
-                "dropped": [encode_value(a) for a in value.dropped],
-                "family_rules": encode_value(dict(value.family_rules)),
-                "notes": list(value.notes),
-                "source_complete": value.source_complete,
-                "target_complete": value.target_complete,
-            }
-        }
-    if isinstance(value, np.random.Generator):
-        return {"$rng": _encode_rng(value)}
-    raise CodecError(
-        f"cannot serialize {type(value).__name__} value {value!r}; "
-        "see repro.store.codec for the supported kinds"
-    )
+    encoder = _ENCODERS.get(type(value)) or _resolve_encoder(type(value))
+    if encoder is None:
+        raise CodecError(
+            f"cannot serialize {type(value).__name__} value {value!r}; "
+            "see repro.store.codec for the supported kinds"
+        )
+    return encoder(value)
 
 
 _NONFINITE = {"inf": float("inf"), "-inf": float("-inf"), "nan": float("nan")}

@@ -31,7 +31,7 @@ import re
 import threading
 from collections import OrderedDict
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Callable, Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -55,6 +55,22 @@ def _check_session_id(session_id: str) -> str:
             f"invalid session id {session_id!r}; use letters, digits, '.', '_', '-'"
         )
     return session_id
+
+
+def _edit_summary(edit: int, step: SMCStep) -> Dict[str, Any]:
+    """The history entry of one applied edit."""
+    stats = step.stats
+    return {
+        "edit": edit,
+        "num_particles": stats.num_traces,
+        "ess_before_resample": stats.ess_before_resample,
+        "ess_after": stats.ess_after,
+        "resampled": stats.resampled,
+        "log_mean_weight_increment": stats.log_mean_weight_increment,
+        "translate_seconds": stats.translate_seconds,
+        "mcmc_seconds": stats.mcmc_seconds,
+        "faults": stats.total_faults,
+    }
 
 
 class InferenceSession:
@@ -110,6 +126,7 @@ class InferenceSession:
         mcmc_kernel: Optional[Kernel] = None,
         *,
         hooks: Optional[Hooks] = None,
+        commit: Optional[Callable[["InferenceSession"], Any]] = None,
     ) -> SMCStep:
         """Apply one program edit: translate, reweight, maybe resample.
 
@@ -118,9 +135,10 @@ class InferenceSession:
 
         The edit is *transactional*: if translation raises — a fault
         under ``fail_fast``, or a deadline hook cancelling the request
-        mid-flight — the session's collection **and** its RNG stream are
-        rolled back to their pre-submit state, so a failed or cancelled
-        edit leaves the session byte-identical to before.
+        mid-flight — or ``commit`` raises, the session's collection, its
+        RNG stream **and** its history are rolled back to their
+        pre-submit state, so a failed or cancelled edit leaves the
+        session byte-identical to before.
 
         Parameters
         ----------
@@ -129,19 +147,30 @@ class InferenceSession:
             the session's config for this edit only (the inference
             service uses this to enforce request deadlines at particle
             boundaries).
+        commit:
+            Called with the session once the edit is applied, still
+            under the session lock (the inference service writes its
+            durable checkpoint here); the edit counts only if it
+            returns.
         """
         with self._lock:
             config = self._config if hooks is None else self._config.replace(hooks=hooks)
             rng_state = copy.deepcopy(self.rng.bit_generator.state)
+            collection, num_edits = self.collection, len(self.history)
             try:
                 step = infer(
                     translator, self.collection, self.rng, mcmc_kernel, config=config
                 )
+                self.collection = step.collection
+                self.history.append(_edit_summary(num_edits, step))
+                if commit is not None:
+                    commit(self)
             except BaseException:
                 self.rng.bit_generator.state = rng_state
+                self.collection = collection
+                del self.history[num_edits:]
                 raise
-            self.collection = step.collection
-            return self._record_step(step)
+            return self._count_step(step)
 
     def sequence(
         self,
@@ -184,21 +213,8 @@ class InferenceSession:
             for translator, kernel in zip(translators, mcmc_kernels)
         ]
 
-    def _record_step(self, step: SMCStep) -> SMCStep:
+    def _count_step(self, step: SMCStep) -> SMCStep:
         stats = step.stats
-        self.history.append(
-            {
-                "edit": len(self.history),
-                "num_particles": stats.num_traces,
-                "ess_before_resample": stats.ess_before_resample,
-                "ess_after": stats.ess_after,
-                "resampled": stats.resampled,
-                "log_mean_weight_increment": stats.log_mean_weight_increment,
-                "translate_seconds": stats.translate_seconds,
-                "mcmc_seconds": stats.mcmc_seconds,
-                "faults": stats.total_faults,
-            }
-        )
         self.metrics.counter("session.edits").inc()
         self.metrics.counter("session.particles_translated").inc(stats.num_traces)
         self.metrics.counter("session.faults").inc(stats.total_faults)

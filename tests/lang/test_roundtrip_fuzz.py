@@ -60,8 +60,8 @@ def _fresh_label(kind: str) -> str:
     return f"{kind}:{_label_counter[0]}"
 
 
-def _expr_strategy():
-    base = st.one_of(constants, variables)
+def _expr_strategy(leaf_constants=constants):
+    base = st.one_of(leaf_constants, variables)
 
     def extend(children):
         return st.one_of(
@@ -85,20 +85,19 @@ def _expr_strategy():
     return st.recursive(base, extend, max_leaves=20)
 
 
-expressions = _expr_strategy()
+def _random_strategy(expressions):
+    return st.one_of(
+        expressions.map(lambda p: FlipExpr(_fresh_label("flip"), p)),
+        st.tuples(expressions, expressions).map(
+            lambda t: UniformExpr(_fresh_label("uniform"), *t)
+        ),
+        st.tuples(expressions, expressions).map(
+            lambda t: GaussExpr(_fresh_label("gauss"), *t)
+        ),
+    )
 
-random_expressions = st.one_of(
-    expressions.map(lambda p: FlipExpr(_fresh_label("flip"), p)),
-    st.tuples(expressions, expressions).map(
-        lambda t: UniformExpr(_fresh_label("uniform"), *t)
-    ),
-    st.tuples(expressions, expressions).map(
-        lambda t: GaussExpr(_fresh_label("gauss"), *t)
-    ),
-)
 
-
-def _stmt_strategy():
+def _stmt_strategy(expressions, random_expressions):
     base = st.one_of(
         st.just(Skip()),
         st.tuples(names, expressions).map(lambda t: Assign(*t)),
@@ -124,8 +123,15 @@ def _stmt_strategy():
     return st.recursive(base, extend, max_leaves=12)
 
 
-statements = _stmt_strategy()
-programs = st.lists(statements, min_size=1, max_size=6).map(lambda s: seq(*s))
+def program_strategy(leaf_constants=constants):
+    """Whole programs whose expressions take leaves from ``leaf_constants``."""
+    expressions = _expr_strategy(leaf_constants)
+    statements = _stmt_strategy(expressions, _random_strategy(expressions))
+    return st.lists(statements, min_size=1, max_size=6).map(lambda s: seq(*s))
+
+
+expressions = _expr_strategy()
+programs = program_strategy()
 
 
 class TestExpressionRoundTrip:

@@ -248,3 +248,103 @@ class TestLazySessionLifecycle:
             fresh.create_session(
                 "a", "s1", PROGRAM, env=None, num_particles=None, seed=1
             )
+
+
+EDITED = "x = gauss(0.5, 2.0);\nobserve(gauss(x, 1.0) == 1.0);\nreturn x;"
+
+
+class TestFailedCommit:
+    """A checkpoint write that fails leaves the live session as it was."""
+
+    def _store(self, tmp_path, name):
+        config = ServiceConfig(
+            store_dir=str(tmp_path / name), num_particles=NUM_PARTICLES
+        )
+        store = DurableSessionStore(config)
+        store.create_session("a", "s1", PROGRAM, env=None, num_particles=None, seed=4)
+        return store
+
+    def test_failed_commit_rolls_back_the_edit(self, tmp_path, monkeypatch):
+        import errno
+
+        from repro.store import CheckpointManager
+        from repro.store.codec import dumps
+
+        store = self._store(tmp_path, "failing")
+        session = store.manager.get("s1")
+        before = dumps(session.snapshot())
+
+        def no_space(self, *args, **kwargs):
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(CheckpointManager, "save", no_space)
+            with pytest.raises(OSError):
+                store.apply_edit("s1", EDITED)
+
+        assert session.num_edits == 0
+        assert store.meta("s1")["program"] == PROGRAM
+        assert dumps(session.snapshot()) == before
+        assert store.posterior_degraded("s1")["num_edits"] == 0
+
+        # The retry lands as edit 1, with the particles and RNG stream of
+        # an edit that never failed (history entries carry timings).
+        assert store.apply_edit("s1", EDITED)["num_edits"] == 1
+        clean = self._store(tmp_path, "clean")
+        clean.apply_edit("s1", EDITED)
+        retried, expected = session.snapshot(), clean.manager.get("s1").snapshot()
+        assert dumps([retried["collection"], retried["rng"]]) == dumps(
+            [expected["collection"], expected["rng"]]
+        )
+        assert len(retried["history"]) == 1
+        assert store.posterior_degraded("s1") == clean.posterior_degraded("s1")
+
+    def test_failed_create_commit_leaves_no_session(self, tmp_path, monkeypatch):
+        from repro.store import CheckpointManager
+
+        store = DurableSessionStore(
+            ServiceConfig(store_dir=str(tmp_path), num_particles=NUM_PARTICLES)
+        )
+
+        def no_space(self, *args, **kwargs):
+            raise OSError("No space left on device")
+
+        monkeypatch.setattr(CheckpointManager, "save", no_space)
+        with pytest.raises(OSError):
+            store.create_session("a", "s1", PROGRAM, env=None, num_particles=None, seed=1)
+        assert store.session_ids() == []
+        assert store.manager.live_sessions() == []
+
+
+class TestParseOnce:
+    def test_each_edit_parses_only_its_new_program(self, tmp_path, monkeypatch):
+        import repro.service.state as state
+
+        store = DurableSessionStore(
+            ServiceConfig(store_dir=str(tmp_path), num_particles=NUM_PARTICLES)
+        )
+        parsed = []
+
+        def counting_parse(source):
+            parsed.append(source)
+            return state.parse_program.__wrapped__(source)
+
+        counting_parse.__wrapped__ = state.parse_program
+        monkeypatch.setattr(state, "parse_program", counting_parse)
+        store.create_session("a", "s1", PROGRAM, env=None, num_particles=None, seed=1)
+        store.apply_edit("s1", EDITED)
+        store.apply_observation("s1", "observe(gauss(x, 1.0) == 2.0);")
+        assert len(parsed) == 3
+        assert parsed[1] == EDITED
+
+    def test_edit_after_reload_parses_the_current_program_again(self, tmp_path):
+        config = ServiceConfig(
+            store_dir=str(tmp_path), num_particles=NUM_PARTICLES, session_capacity=1
+        )
+        store = DurableSessionStore(config)
+        store.create_session("a", "s1", PROGRAM, env=None, num_particles=None, seed=1)
+        store.create_session("a", "s2", PROGRAM, env=None, num_particles=None, seed=2)
+        # s1 was evicted by s2's create; its parsed program went with it.
+        assert store.manager.live_sessions() == ["s2"]
+        assert store.apply_edit("s1", EDITED)["num_edits"] == 1
+        assert store.meta("s1")["program"] == EDITED
