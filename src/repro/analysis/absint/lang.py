@@ -13,6 +13,18 @@ closable loop yields a closable address family.  What remains
 un-closable is exactly what the paper flags: ``while`` loops whose
 condition is (or depends on) a random choice — the geometric program of
 Figure 6 — which fail the analysis and fall back to runtime profiling.
+
+The columnar runtime runs a lang program once over columns of
+particles (see :mod:`repro.lang.interp`), so the analysis also records
+what that batched run cannot do: control flow on a sampled value —
+``if``/``while``, and a ternary or ``&&``/``||`` whose sampled operand
+guards a random expression or a call — and the *column hazards*, the
+constructs that may raise on a column although no particle's scalar
+run would: a division or an indexing that a ternary over a sampled
+condition (or ``&&``/``||`` after a sampled left operand) evaluates for
+every particle, an index that is itself sampled, and a ternary whose
+branches may differ in numeric kind.  A ternary over a sampled value
+with pure branches is a data dependency, not control flow.
 """
 
 from __future__ import annotations
@@ -20,10 +32,13 @@ from __future__ import annotations
 import itertools
 from typing import Any, Dict, FrozenSet, List, Optional, Tuple
 
+import numpy as np
+
 from ...core.model import Model
 from ...distributions import Flip, Normal, UniformDiscrete
 from ...distributions.base import BinarySupport, RealLine, Support
 from ...lang import ast as last
+from ...lang.analysis import is_pure, walk
 from ...lang.interp import MAX_CALL_DEPTH, choice_address
 from .interp import STATEMENT_BUDGET, AnalysisFailure
 from .profile import StaticProfile
@@ -102,6 +117,40 @@ _BIN_OPS = {
 }
 
 
+def _numeric_kind(value: Any) -> Optional[str]:
+    """``"int"`` or ``"float"`` when every value ``value`` may take has
+    that Python type; ``None`` when mixed or unknown."""
+    if not isinstance(value, AbstractValue):
+        return None
+    members = possible_values(value)
+    if members is None:
+        if isinstance(value, Sampled) and value.supports and all(
+            isinstance(support, RealLine) for support in value.supports
+        ):
+            return "float"
+        return None
+    kinds = {
+        "float" if isinstance(m, (float, np.floating))
+        else "int" if isinstance(m, (int, np.integer))
+        else None
+        for m in members
+    }
+    return kinds.pop() if len(kinds) == 1 else None
+
+
+def _eager_raisers(*exprs: last.Expr) -> List[str]:
+    """The constructs in ``exprs`` that may raise when evaluated for a
+    particle whose scalar run would have skipped them."""
+    found = []
+    for expr in exprs:
+        for node in walk(expr):
+            if isinstance(node, last.Binary) and node.op == "/":
+                found.append("division")
+            elif isinstance(node, last.Index):
+                found.append("indexing")
+    return sorted(set(found))
+
+
 def _div(a: Any, b: Any) -> Any:
     if b == 0:
         raise ZeroDivisionError("division by zero")
@@ -135,16 +184,20 @@ class _LangAbstractInterpreter:
         self.branch_depth = 0
 
     def run(self) -> None:
-        returned: Any = Const(None)
         try:
             self.exec(self.program, self.env)
         except _LangReturn as signal:
-            returned = signal.value
-        # Lang programs return scalars or (copy-on-write) arrays; only a
-        # per-particle array resists ``_batch_values`` stacking.
-        self.profile.return_batchable = not (
-            isinstance(returned, _Array) and _tainted(returned)
-        )
+            # Lang programs return scalars or (copy-on-write) arrays;
+            # only a per-particle array resists ``_batch_values``.
+            self.profile.return_batchable = not (
+                isinstance(signal.value, _Array) and _tainted(signal.value)
+            )
+        else:
+            # No ``return``: the run returns its final bindings, a dict
+            # that stacks only when no binding varies across particles.
+            self.profile.return_batchable = not any(
+                _tainted(value) for value in self.env.values()
+            )
 
     # -- bookkeeping ----------------------------------------------------------
 
@@ -273,7 +326,18 @@ class _LangAbstractInterpreter:
                 )
             # Undecidable left operand: the right-hand side may or may
             # not evaluate (and may sample) — analyze it under an
-            # uncertainty frame, then merge.
+            # uncertainty frame, then merge.  A sampled left operand is
+            # a column in a batched run: a pure right operand then runs
+            # for every particle, an impure one is control flow.
+            if is_tainted(left):
+                if is_pure(expr.right):
+                    for construct in _eager_raisers(expr.right):
+                        self.profile.note_column_hazard(
+                            f"{construct} in the right operand of {expr.op!r} "
+                            "after a sampled left operand"
+                        )
+                else:
+                    self.profile.record_control("boolop", 0, deps_of(left))
             self.ctrl.append((is_tainted(left), deps_of(left)))
             self.branch_depth += 1
             try:
@@ -307,7 +371,11 @@ class _LangAbstractInterpreter:
             return self.eval(expr.then if truthy else expr.otherwise, env)
         tainted = is_tainted(cond)
         deps = deps_of(cond)
-        if tainted:
+        # A sampled condition over pure branches is an elementwise
+        # select in a batched run (both branches run for every particle);
+        # over impure branches it is control flow.
+        select = tainted and is_pure(expr.then) and is_pure(expr.otherwise)
+        if tainted and not select:
             self.profile.record_control("ifexp", 0, deps)
         self.ctrl.append((tainted, deps))
         self.branch_depth += 1
@@ -317,9 +385,23 @@ class _LangAbstractInterpreter:
         finally:
             self.branch_depth -= 1
             self.ctrl.pop()
-        if isinstance(then_value, AbstractValue) and isinstance(else_value, AbstractValue):
-            return join(then_value, else_value, tainted=tainted, extra_deps=deps)
-        raise AnalysisFailure("array-valued lang conditional expression")
+        if not (
+            isinstance(then_value, AbstractValue)
+            and isinstance(else_value, AbstractValue)
+        ):
+            raise AnalysisFailure("array-valued lang conditional expression")
+        if select:
+            for construct in _eager_raisers(expr.then, expr.otherwise):
+                self.profile.note_column_hazard(
+                    f"{construct} in a branch of a ternary over a sampled value"
+                )
+            kind = _numeric_kind(then_value)
+            if kind is None or kind != _numeric_kind(else_value):
+                self.profile.note_column_hazard(
+                    "ternary over a sampled value whose branches may "
+                    "differ in numeric kind"
+                )
+        return join(then_value, else_value, tainted=tainted, extra_deps=deps)
 
     def _eval_index(self, expr: last.Index, env: Dict[str, Any]) -> Any:
         array = _as_array(self.eval(expr.array, env))
@@ -335,6 +417,8 @@ class _LangAbstractInterpreter:
                     f"{len(array.items)}"
                 )
             return array.items[i]
+        if is_tainted(index):
+            self.profile.note_column_hazard("indexing by a sampled value")
         members = possible_values(index)
         if members is not None:
             selected = [
@@ -514,6 +598,8 @@ class _LangAbstractInterpreter:
             items[i] = value
             env[stmt.name] = _Array(tuple(items))
             return
+        if is_tainted(index):
+            self.profile.note_column_hazard("index-assignment by a sampled value")
         members = possible_values(index)
         if members is None:
             raise AnalysisFailure(

@@ -9,7 +9,9 @@ abstract interpretation of its models:
 
 * findings with ``certain=True`` identify steps that would definitely
   spill (a rejuvenation kernel, a containing fault policy,
-  value-dependent control flow in the target);
+  value-dependent control flow in the target — for structured-language
+  targets a ternary over a sampled value with pure branches is a data
+  dependency, not control flow);
   :func:`repro.core.columnar.columnar_infer_step` consults them and
   routes straight to the object path without per-step probing;
 * findings with ``certain=False`` are possible spill reasons; the step
@@ -219,6 +221,19 @@ def _profile_findings(
                     f"opaque call(s) at line(s) {lines} receive "
                     "sample-dependent arguments; the batched run may not "
                     "vectorize them"
+                ),
+            )
+        )
+    if subject == "target" and profile.column_hazards:
+        # The batched target run evaluates these for every particle.
+        findings.append(
+            PlanFinding(
+                "execution",
+                certain=False,
+                subject=subject,
+                detail=(
+                    "the batched run may raise where no particle's scalar "
+                    f"run would: {'; '.join(profile.column_hazards)}"
                 ),
             )
         )

@@ -161,6 +161,11 @@ class StaticProfile:
     #: — ``math.exp(column)``, ``float(column)`` — which may raise, so
     #: the columnar plan must keep an ``execution`` spill possible.
     opaque_tainted_lines: List[int] = field(default_factory=list)
+    #: Constructs of a structured-language model that a *batched* run
+    #: may fail on although no particle's scalar run would (see
+    #: :mod:`repro.analysis.absint.lang`), described in words.  The
+    #: columnar plan keeps an ``execution`` spill possible for them.
+    column_hazards: List[str] = field(default_factory=list)
 
     # -- events (called by the interpreters) --------------------------------
 
@@ -208,6 +213,10 @@ class StaticProfile:
         site = ControlSite(kind=kind, line=line, deps=deps)
         if site not in self.control_sites:
             self.control_sites.append(site)
+
+    def note_column_hazard(self, description: str) -> None:
+        if description not in self.column_hazards:
+            self.column_hazards.append(description)
 
     def fail(self, reason: str) -> None:
         """Mark the profile unusable (first reason wins)."""
@@ -284,4 +293,5 @@ class StaticProfile:
             "control_sites": [site.describe() for site in self.control_sites],
             "return_batchable": self.return_batchable,
             "opaque_tainted_lines": list(self.opaque_tainted_lines),
+            "column_hazards": list(self.column_hazards),
         }

@@ -700,7 +700,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             num_shards=args.num_shards,
             shard_processes=args.shard_processes,
             replicate=args.replicate,
-            collection=args.collection,
             queue_depth=args.queue_depth,
             max_sessions_per_tenant=args.max_sessions_per_tenant,
             max_inflight_per_tenant=args.max_inflight_per_tenant,
@@ -1065,12 +1064,6 @@ def build_parser() -> argparse.ArgumentParser:
                            help="process mode: refresh a warm in-memory "
                                 "replica on the placement runner-up after "
                                 "every acked mutation (requires --store-dir)")
-    serve_cmd.add_argument("--collection", choices=("object", "columnar"),
-                           default="object",
-                           help="particle-collection mode for served "
-                                "sessions; columnar steps the vectorized "
-                                "runtime cannot represent spill to the "
-                                "object path per step")
     serve_cmd.add_argument("--num-shards", type=_positive_int, default=2,
                            help="worker shards (sessions hash to a shard)")
     serve_cmd.add_argument("--queue-depth", type=int, default=16,

@@ -37,10 +37,10 @@ choice values, translators other than a plain
 or backward proposals, MCMC rejuvenation kernels, containing fault
 policies), support comparisons that are ambiguous for array-valued
 parameters, and models whose control flow branches on a sampled value
-(an array in a ``bool`` context raises, which spills).  Spill checks
-that can fire on a parameter-only edit all happen before the step
-consumes any randomness, so a spilled step replays on the object path
-byte-identically.
+(an array in a ``bool`` context raises, which spills).  A spill can
+come after the step drew fresh choices; :func:`repro.core.smc._infer_step`
+restores the step RNG's state before replaying the step on the object
+path, so every spilled step is byte-identical to an object-mode step.
 
 Batched return values follow the vmap convention: any ndarray in the
 model's return value whose leading dimension equals the particle count
@@ -970,7 +970,10 @@ def columnar_infer_step(
                 num,
             )
             try:
-                translator.target.run(handler)
+                # Column arithmetic may overflow or produce NaN lanes
+                # exactly as the scalar path does, silently.
+                with np.errstate(all="ignore"):
+                    translator.target.run(handler)
             except ColumnarSpill:
                 raise
             except Exception as error:

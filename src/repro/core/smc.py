@@ -152,6 +152,11 @@ class SMCStats:
     #: spilled reports ``"object"`` — the field records what actually
     #: ran, not what was requested.
     collection_mode: str = "object"
+    #: The :class:`~repro.core.columnar.ColumnarSpill` code of a
+    #: columnar-configured step that ran on the object path (``None``
+    #: otherwise).  Not an init field, so encoded stats (checkpoint
+    #: extras) carry the same bytes whether or not a step spilled.
+    spill_code: Optional[str] = field(default=None, init=False)
 
     @property
     def total_faults(self) -> int:
@@ -414,9 +419,11 @@ def _infer_step(
     executor: Any = None,
 ) -> SMCStep:
     """One Algorithm-2 step under an already-validated config."""
+    spill_code: Optional[str] = None
     if config.collection == "columnar":
         from .columnar import ColumnarSpill, columnar_infer_step
 
+        rng_state = rng.bit_generator.state
         try:
             return columnar_infer_step(
                 translator,
@@ -427,13 +434,16 @@ def _infer_step(
                 step_index=step_index,
                 executor=executor,
             )
-        except ColumnarSpill:
-            # Spill: this step cannot be represented columnar — fall
-            # through to the object path.  Spill checks that can fire on
-            # a representable population run before any randomness is
-            # consumed, so the replay below is byte-identical to a pure
-            # object-mode run of the same step.
-            pass
+        except ColumnarSpill as spill:
+            # Spill: this step cannot be represented columnar.  The
+            # batched run may have drawn fresh choices before it failed,
+            # so the RNG goes back to its state at the step's start and
+            # the object path below replays the step byte-identically
+            # to an object-mode run.
+            rng.bit_generator.state = rng_state
+            spill_code = spill.code
+            if config.metrics.enabled:
+                config.metrics.counter(f"smc.columnar.spills.{spill_code}").inc()
     if not isinstance(traces, WeightedCollection):
         # Columnar input reaching the object path (spill, or a config
         # switch mid-sequence): materialize object traces once.
@@ -588,6 +598,8 @@ def _infer_step(
         if trace_enabled:
             step_span.count("particles", len(traces))
             step_span.count("faults", counters.failed + counters.mcmc_failed)
+            if spill_code is not None:
+                step_span.count(f"columnar.spill.{spill_code}")
 
     if metrics.enabled:
         metrics.counter("smc.steps").inc()
@@ -620,6 +632,7 @@ def _infer_step(
         mcmc_failed=counters.mcmc_failed,
         faults_by_worker=faults_by_worker,
     )
+    stats.spill_code = spill_code
     hooks.on_step_end(stats)
     return SMCStep(collection, stats)
 

@@ -50,7 +50,12 @@ class Flip(DiscreteDistribution):
     p: float
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.p <= 1.0:
+        p = self.p
+        if isinstance(p, np.ndarray):
+            inside = bool(np.all((0.0 <= p) & (p <= 1.0)))
+        else:
+            inside = 0.0 <= p <= 1.0
+        if not inside:
             raise ValueError(f"flip probability must be in [0, 1], got {self.p}")
 
     def sample(self, rng: np.random.Generator) -> int:
@@ -65,8 +70,18 @@ class Flip(DiscreteDistribution):
 
     def log_prob_batch(self, values: np.ndarray) -> np.ndarray:
         values = np.asarray(values)
-        log_p = math.log(self.p) if self.p > 0.0 else NEG_INF
-        log_q = math.log1p(-self.p) if self.p < 1.0 else NEG_INF
+        p = self.p
+        if isinstance(p, np.ndarray):
+            # A per-particle ``p`` (the columnar runtime's template): the
+            # scalar guards and libm calls, lane by lane.
+            log_p = np.full(p.shape, NEG_INF)
+            log_q = np.full(p.shape, NEG_INF)
+            positive, below_one = p > 0.0, p < 1.0
+            log_p[positive] = bmath.log(p[positive])
+            log_q[below_one] = bmath.log1p(-p[below_one])
+        else:
+            log_p = math.log(p) if p > 0.0 else NEG_INF
+            log_q = math.log1p(-p) if p < 1.0 else NEG_INF
         return np.where(values == 1, log_p, np.where(values == 0, log_q, NEG_INF))
 
     def sample_batch(self, rng: np.random.Generator, n: int) -> np.ndarray:

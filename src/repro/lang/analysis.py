@@ -5,6 +5,8 @@ Used by the edit/diff machinery (Section 6) and by tests:
 * :func:`random_expressions` — collect every random expression with its
   label (the syntactic random choices ``F_P`` of a program);
 * :func:`free_variables` / :func:`assigned_variables`;
+* :func:`is_pure` — whether an expression contains no random
+  expression and no call;
 * :func:`equal_modulo_labels` — structural AST equality ignoring
   random-expression labels (labels encode source positions, so
   pretty-print round-trips change them); :func:`strip_labels` gives the
@@ -34,6 +36,7 @@ __all__ = [
     "children",
     "walk",
     "random_expressions",
+    "is_pure",
     "free_variables",
     "assigned_variables",
     "equal_modulo_labels",
@@ -67,6 +70,12 @@ def walk(node: Node) -> Iterator[Node]:
 def random_expressions(node: Node) -> List[RandomExpr]:
     """All random expressions in the program, in pre-order."""
     return [n for n in walk(node) if isinstance(n, RandomExpr)]
+
+
+def is_pure(node: Node) -> bool:
+    """True when ``node`` contains no random expression and no call:
+    evaluating it draws nothing and runs no user code."""
+    return not any(isinstance(n, (RandomExpr, Call)) for n in walk(node))
 
 
 def random_labels(node: Node) -> List[str]:

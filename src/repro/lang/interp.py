@@ -20,6 +20,23 @@ Random choices are addressed by ``(label, *loop_indices)``: the random
 expression's syntactic label plus the values of the enclosing loop
 variables (for ``for`` loops) or iteration counters (for ``while``
 loops), the naming scheme of Section 5.4 / [44].
+
+Columns of particles
+--------------------
+
+The columnar SMC runtime (:mod:`repro.core.columnar`) runs a program
+once for a whole population: its handler returns a numpy column (one
+entry per particle) for each random choice.  Pure expressions compute
+on such columns elementwise, with the scalar semantics in every lane:
+arithmetic, comparisons, ``!``, ``&&``/``||`` with a pure right operand
+(int columns of 1s and 0s), ``/`` (which checks every lane for zero),
+the parameters of ``gauss``/``flip`` and their range checks, and a
+ternary whose branches are pure, which becomes an elementwise select.
+Purity (no random expression and no call) is decided at compile time.
+Everything else keeps its scalar closure and fails on a column — an
+``if``/``while``/``for`` on a sampled value, a ternary or ``&&``/``||``
+whose operand draws or calls — and the runtime runs that step per
+particle instead.  Scalar runs take exactly the paths they always did.
 """
 
 from __future__ import annotations
@@ -27,12 +44,15 @@ from __future__ import annotations
 import operator
 from typing import Any, Callable, Dict, List, Optional, Tuple, Union
 
+import numpy as np
+
 from ..core.handlers import TraceHandler
 from ..core.model import Model
 from ..core.trace import Trace
 from ..errors import ModelExecutionError
 from ..distributions import Distribution, Flip, Normal, UniformDiscrete
 from ..observability import NULL_METRICS, NULL_TRACER, MetricsRegistry, Tracer
+from .analysis import is_pure
 from .ast import (
     ArrayExpr,
     Assign,
@@ -165,14 +185,30 @@ def _compile_expr(expr: Expr) -> Code:
     if isinstance(expr, Unary):
         return _compile_unary(expr.op, _compile_expr(expr.operand))
     if isinstance(expr, Binary):
-        return _compile_binary(expr.op, _compile_expr(expr.left), _compile_expr(expr.right))
+        return _compile_binary(
+            expr.op,
+            _compile_expr(expr.left),
+            _compile_expr(expr.right),
+            expr.op in ("&&", "||") and is_pure(expr.right),
+        )
     if isinstance(expr, Ternary):
         cond = _compile_expr(expr.cond)
         then = _compile_expr(expr.then)
         otherwise = _compile_expr(expr.otherwise)
-        return lambda run, env: (
-            then(run, env) if cond(run, env) != 0 else otherwise(run, env)
-        )
+        if not (is_pure(expr.then) and is_pure(expr.otherwise)):
+            return lambda run, env: (
+                then(run, env) if cond(run, env) != 0 else otherwise(run, env)
+            )
+
+        def select(run: _Run, env: Dict[str, Any]) -> Any:
+            test = cond(run, env)
+            if isinstance(test, np.ndarray):
+                # Pure branches run for every particle; each lane keeps
+                # the branch its own condition picks.
+                return _select(test, then(run, env), otherwise(run, env))
+            return then(run, env) if test != 0 else otherwise(run, env)
+
+        return select
     if isinstance(expr, Index):
         return _compile_index(_compile_expr(expr.array), _compile_expr(expr.index))
     if isinstance(expr, ArrayExpr):
@@ -210,11 +246,55 @@ def _raising(message: str) -> Code:
     return fail
 
 
+def _as_int(test: Any) -> Any:
+    """A test's outcome as lang's 1 or 0 (an int column for a column)."""
+    if isinstance(test, np.ndarray):
+        return test.astype(np.int64)
+    return 1 if test else 0
+
+
+def _lane_kind(value: Any) -> Optional[str]:
+    """``"int"`` or ``"float"``: the Python type every lane of ``value``
+    has on the scalar path (``None`` for non-numbers)."""
+    if isinstance(value, np.ndarray):
+        kind = value.dtype.kind
+        return "float" if kind == "f" else "int" if kind in "biu" else None
+    if isinstance(value, (float, np.floating)):
+        return "float"
+    if isinstance(value, (int, np.integer)):
+        return "int"
+    return None
+
+
+def _select(test: np.ndarray, then: Any, otherwise: Any) -> np.ndarray:
+    """Elementwise ``test ? then : otherwise``.
+
+    One column holds one kind, so branches of different kinds (an int
+    and a float, which the scalar path would keep apart per particle)
+    or non-numeric branches raise instead of being coerced.
+    """
+    then_kind, otherwise_kind = _lane_kind(then), _lane_kind(otherwise)
+    if then_kind is None or then_kind != otherwise_kind:
+        raise TypeError(
+            f"a ternary over a column of particles needs numeric branches "
+            f"of one kind, got {then_kind or type(then).__name__} and "
+            f"{otherwise_kind or type(otherwise).__name__}"
+        )
+    return np.where(test != 0, then, otherwise)
+
+
 def _compile_unary(op: str, operand: Code) -> Code:
     if op == "-":
         return lambda run, env: -operand(run, env)
     if op == "!":
-        return lambda run, env: 0 if operand(run, env) != 0 else 1
+
+        def negate(run: _Run, env: Dict[str, Any]) -> Any:
+            test = operand(run, env) != 0
+            if isinstance(test, np.ndarray):
+                return (~test).astype(np.int64)
+            return 0 if test else 1
+
+        return negate
 
     def unknown(run: _Run, env: Dict[str, Any]) -> Any:
         operand(run, env)
@@ -235,28 +315,43 @@ _COMPARISONS = {
 }
 
 
-def _compile_binary(op: str, left: Code, right: Code) -> Code:
-    # Operands run left to right; ``&&``/``||`` short-circuit.
+def _compile_binary(op: str, left: Code, right: Code, pure_right: bool) -> Code:
+    # Operands run left to right; ``&&``/``||`` short-circuit, except
+    # that a column left operand runs a pure right operand for every
+    # particle (an impure one fails on the column's truth value).
     if op == "&&":
-        return lambda run, env: (
-            (1 if right(run, env) != 0 else 0) if left(run, env) != 0 else 0
-        )
+
+        def conjunction(run: _Run, env: Dict[str, Any]) -> Any:
+            first = left(run, env) != 0
+            if pure_right and isinstance(first, np.ndarray):
+                return (first & (right(run, env) != 0)).astype(np.int64)
+            return _as_int(right(run, env) != 0) if first else 0
+
+        return conjunction
     if op == "||":
-        return lambda run, env: (
-            1 if left(run, env) != 0 else (1 if right(run, env) != 0 else 0)
-        )
+
+        def disjunction(run: _Run, env: Dict[str, Any]) -> Any:
+            first = left(run, env) != 0
+            if pure_right and isinstance(first, np.ndarray):
+                return (first | (right(run, env) != 0)).astype(np.int64)
+            return 1 if first else _as_int(right(run, env) != 0)
+
+        return disjunction
     if op in _ARITHMETIC:
         apply = _ARITHMETIC[op]
         return lambda run, env: apply(left(run, env), right(run, env))
     if op in _COMPARISONS:
         test = _COMPARISONS[op]
-        return lambda run, env: 1 if test(left(run, env), right(run, env)) else 0
+        return lambda run, env: _as_int(test(left(run, env), right(run, env)))
     if op == "/":
 
         def divide(run: _Run, env: Dict[str, Any]) -> Any:
             numerator = left(run, env)
             denominator = right(run, env)
-            if denominator == 0:
+            if isinstance(denominator, np.ndarray):
+                if (denominator == 0).any():
+                    raise EvalError("division by zero")
+            elif denominator == 0:
                 raise EvalError("division by zero")
             return numerator / denominator
 
@@ -297,7 +392,7 @@ def _compile_distribution(expr: RandomExpr) -> Code:
     if isinstance(expr, GaussExpr):
         mean = _compile_expr(expr.mean)
         std = _compile_expr(expr.std)
-        return lambda run, env: _gauss(float(mean(run, env)), float(std(run, env)))
+        return lambda run, env: _gauss(_real(mean(run, env)), _real(std(run, env)))
     return _raising(f"unknown random expression {expr!r}")
 
 
@@ -498,7 +593,23 @@ def _compile_while(cond: Code, body: Code) -> Code:
     return loop
 
 
+# The parameter checks below take a scalar or a column of particles; a
+# column fails with the first offending lane's value.
+
+
+def _real(value: Any) -> Any:
+    """``float(value)``; a column becomes a float64 column."""
+    if isinstance(value, np.ndarray):
+        return np.asarray(value, dtype=np.float64)
+    return float(value)
+
+
 def _flip(prob: Any) -> Distribution:
+    if isinstance(prob, np.ndarray):
+        inside = (0.0 <= prob) & (prob <= 1.0)
+        if not inside.all():
+            raise EvalError(f"flip probability {prob[~inside][0]} outside [0, 1]")
+        return Flip(np.asarray(prob, dtype=np.float64))
     if not 0.0 <= prob <= 1.0:
         raise EvalError(f"flip probability {prob} outside [0, 1]")
     return Flip(float(prob))
@@ -510,8 +621,12 @@ def _uniform(low: int, high: int) -> Distribution:
     return UniformDiscrete(low, high)
 
 
-def _gauss(mean: float, std: float) -> Distribution:
-    if std <= 0:
+def _gauss(mean: Any, std: Any) -> Distribution:
+    if isinstance(std, np.ndarray):
+        bad = std <= 0
+        if bad.any():
+            raise EvalError(f"gauss std {std[bad][0]} must be positive")
+    elif std <= 0:
         raise EvalError(f"gauss std {std} must be positive")
     return Normal(mean, std)
 
@@ -523,7 +638,7 @@ def distribution_of(expr: RandomExpr, eval_fn) -> Distribution:
     if isinstance(expr, UniformExpr):
         return _uniform(int(eval_fn(expr.low)), int(eval_fn(expr.high)))
     if isinstance(expr, GaussExpr):
-        return _gauss(float(eval_fn(expr.mean)), float(eval_fn(expr.std)))
+        return _gauss(_real(eval_fn(expr.mean)), _real(eval_fn(expr.std)))
     raise EvalError(f"unknown random expression {expr!r}")
 
 

@@ -35,7 +35,7 @@ import shutil
 import threading
 import weakref
 from pathlib import Path
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, Iterable, List, Optional
 
 import numpy as np
 
@@ -59,25 +59,29 @@ def value_histogram(collection: Any, top: int = 10) -> List[Dict[str, Any]]:
     The same summary ``repro translate`` prints, in JSON-able form.
     """
     values: Dict[Any, float] = {}
-    weights = collection.normalized_weights()
-    if hasattr(collection, "items"):
-        particles: Any = collection.items
-    else:
-        # Columnar collections expose per-particle views instead of a
-        # trace list; the views carry the same ``return_value``.
-        particles = (collection.particle(i) for i in range(len(collection)))
-    for trace, weight in zip(particles, weights):
-        key = trace.return_value
+    weights = collection.normalized_weights().tolist()
+    for key, weight in zip(_return_values(collection), weights):
         if isinstance(key, dict):
             key = tuple(sorted(key.items()))
         if isinstance(key, list):
             key = tuple(key)
-        values[key] = values.get(key, 0.0) + float(weight)
+        values[key] = values.get(key, 0.0) + weight
     ranked = sorted(values.items(), key=lambda kv: (-kv[1], str(kv[0])))[:top]
     return [
         {"value": _jsonable(value), "probability": probability}
         for value, probability in ranked
     ]
+
+
+def _return_values(collection: Any) -> Iterable[Any]:
+    """Every particle's return value, in particle order."""
+    if hasattr(collection, "items"):
+        return (trace.return_value for trace in collection.items)
+    returned = collection.return_value
+    if isinstance(returned, np.ndarray) and returned.shape == (len(collection),):
+        # A columnar collection's per-particle return column, read once.
+        return returned.tolist()
+    return (collection.particle(i).return_value for i in range(len(collection)))
 
 
 def _jsonable(value: Any) -> Any:
@@ -125,12 +129,12 @@ class DurableSessionStore:
         root = None if config.store_dir is None else Path(config.store_dir)
         self.root = root
         lru_dir = None if root is None else root / "lru"
-        # The per-session inference config: the service-level collection
-        # mode (object vs columnar) rides in here; columnar steps the
-        # vectorized runtime cannot represent spill to the object path
-        # per step, exactly as in offline inference.
+        # Every served step runs columnar; a step the vectorized runtime
+        # cannot represent (sampled control flow, a spill the static
+        # plan predicts or the batched run hits) replays on the object
+        # path, byte-identically to an object-mode step.
         self._session_config = InferenceConfig(
-            resample="adaptive", collection=config.collection
+            resample="adaptive", collection="columnar"
         )
         self.manager = SessionManager(
             lru_dir,

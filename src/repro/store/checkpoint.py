@@ -2,11 +2,12 @@
 
 A checkpoint captures everything needed to continue an
 ``infer_sequence``/annealing run exactly where it stopped: the step
-index, the weighted collection, the RNG generator state at the step
-boundary, and optional extras (per-step stats).  Because the RNG state
-is part of the snapshot, a killed run resumed from its latest checkpoint
-replays the remaining steps with the exact draws the uninterrupted run
-would have made — the final collection is byte-identical.
+index, the particle collection (object or columnar layout), the RNG
+generator state at the step boundary, and optional extras (per-step
+stats).  Because the RNG state is part of the snapshot, a killed run
+resumed from its latest checkpoint replays the remaining steps with the
+exact draws the uninterrupted run would have made — the final
+collection is byte-identical.
 
 File layout (one file per checkpointed step, ``step-00000007.ckpt``)::
 
@@ -35,10 +36,11 @@ import re
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Union
 
 import numpy as np
 
+from ..core.columnar import ColumnarCollection
 from ..core.weighted import WeightedCollection
 from ..errors import CheckpointCorruptionError, CodecError, SchemaVersionError
 from .codec import dumps, loads
@@ -49,13 +51,16 @@ _HEADER_PREFIX = b"REPRO-CKPT"
 _HEADER_VERSION = 1
 _STEP_FILE = re.compile(r"^step-(\d{8})\.ckpt$")
 
+#: What a checkpoint holds: either particle layout.
+ParticleCollection = Union[WeightedCollection, ColumnarCollection]
+
 
 @dataclass
 class Checkpoint:
     """One loaded checkpoint."""
 
     step: int
-    collection: WeightedCollection
+    collection: ParticleCollection
     rng: Optional[np.random.Generator]
     extra: Dict[str, Any] = field(default_factory=dict)
     path: Optional[Path] = None
@@ -143,7 +148,7 @@ class CheckpointManager:
     def save(
         self,
         step: int,
-        collection: WeightedCollection,
+        collection: ParticleCollection,
         rng: Optional[np.random.Generator] = None,
         extra: Optional[Dict[str, Any]] = None,
     ) -> Path:
@@ -178,7 +183,7 @@ class CheckpointManager:
     def maybe_save(
         self,
         step: int,
-        collection: WeightedCollection,
+        collection: ParticleCollection,
         rng: Optional[np.random.Generator] = None,
         extra: Optional[Dict[str, Any]] = None,
         *,
@@ -302,9 +307,9 @@ class CheckpointManager:
                 f"checkpoint {path} claims step {step}, expected {expected_step}"
             )
         collection = payload.get("collection")
-        if not isinstance(collection, WeightedCollection):
+        if not isinstance(collection, (WeightedCollection, ColumnarCollection)):
             raise CheckpointCorruptionError(
-                f"checkpoint {path} carries no weighted collection"
+                f"checkpoint {path} carries no particle collection"
             )
         return Checkpoint(
             step=step,

@@ -125,27 +125,17 @@ class TestScaleOutLint:
             == []
         )
 
-    def test_columnar_collection_is_info(self):
-        diagnostics = lint_service_config(_durable(collection="columnar"))
-        assert codes(diagnostics) == {"service-columnar-unsupported-model"}
-        (finding,) = diagnostics
-        assert finding.severity == "info"
-        assert "byte-identical" in finding.message
-
     def test_misconfigured_fleet_reports_everything(self, monkeypatch):
         import repro.analysis.config_lint as config_lint
 
         monkeypatch.setattr(config_lint.os, "cpu_count", lambda: 1)
         diagnostics = lint_service_config(
-            ServiceConfig(
-                shard_processes=8, replicate=True, collection="columnar"
-            )
+            ServiceConfig(shard_processes=8, replicate=True)
         )
         assert codes(diagnostics) == {
             "service-no-durability",
             "service-shards-exceed-cpus",
             "service-replication-without-checkpoint-dir",
-            "service-columnar-unsupported-model",
         }
         assert {d.pass_name for d in diagnostics} == {"service-config"}
 

@@ -498,3 +498,63 @@ class TestPlanSoundnessOnEquivalenceSuite:
             InferenceConfig(),
         )
         assert step.stats.collection_mode == "columnar"
+
+
+class TestSpillsAreObservable:
+    """A spilled ``infer`` step reports its code in the stats, as a
+    ``smc.columnar.spills.<code>`` counter and on its ``smc.step`` span."""
+
+    CASES = {
+        "proposals": lambda: (
+            CorrespondenceTranslator(
+                Model(_plain_src),
+                Model(_plain_tgt),
+                Correspondence.identity(["x"]),
+                forward_proposals={"x": lambda rng, trace: Normal(0.0, 1.0)},
+            ),
+            {},
+        ),
+        "fault-policy": lambda: (
+            _translator(_plain_src, _plain_tgt, ["x"]),
+            {"fault_policy": "drop"},
+        ),
+        "address-structure": lambda: (
+            _translator(_branchy_src, _flip_tgt, ["a"]),
+            {},
+        ),
+        "value-kind": lambda: (_translator(_string_src, _string_tgt, ["s"]), {}),
+        "template": lambda: (_translator(_table_src, _table_tgt, ["k"]), {}),
+        "batch-shape": lambda: (_translator(_plain_src, _bad_batch_tgt, ["x"]), {}),
+        "return-value": lambda: (
+            _translator(_list_return_src, _plain_tgt, ["x"]),
+            {},
+        ),
+        "control-flow": lambda: (_translator(_flip_src, _branch_obs_tgt, ["x"]), {}),
+        "execution": lambda: (_translator(_plain_src, _opaque_tgt, ["x"]), {}),
+    }
+
+    @pytest.mark.parametrize("code", sorted(CASES))
+    def test_spill_code_in_stats_metrics_and_span(self, code):
+        from repro.core import infer
+        from repro.observability import MetricsRegistry, Tracer
+
+        translator, options = self.CASES[code]()
+        population = _population(translator.source, 16, seed=3)
+        metrics, tracer = MetricsRegistry(), Tracer()
+        step = infer(
+            translator,
+            population,
+            np.random.default_rng(5),
+            config=InferenceConfig(
+                collection="columnar", metrics=metrics, tracer=tracer, **options
+            ),
+        )
+        assert step.stats.spill_code == code
+        assert step.stats.collection_mode == "object"
+        assert metrics.counter(f"smc.columnar.spills.{code}").value == 1
+        marked = [
+            span
+            for span in tracer.spans("smc.step")
+            if span.counters and f"columnar.spill.{code}" in span.counters
+        ]
+        assert len(marked) == 1

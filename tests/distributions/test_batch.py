@@ -114,11 +114,23 @@ def test_array_parameterized_gamma_respects_mask_and_elements():
         assert batched[i].hex() == Gamma(shapes[i], 1.2).log_prob(values[i]).hex()
 
 
+def test_array_parameterized_flip_matches_per_element_scalars():
+    rng = np.random.default_rng(2)
+    probs = np.concatenate([[0.0, 1.0, 0.5], rng.random(61)])
+    for value in (0, 1, 2):
+        values = np.full(probs.size, value)
+        batched = Flip(probs).log_prob_batch(values)
+        for i, p in enumerate(probs):
+            assert batched[i].hex() == Flip(float(p)).log_prob(value).hex()
+
+
 def test_array_parameter_validation_still_raises():
     with pytest.raises(ValueError):
         Normal(0.0, np.array([1.0, -1.0]))
     with pytest.raises(ValueError):
         Gamma(np.array([1.0, 0.0]), 1.0)
+    with pytest.raises(ValueError):
+        Flip(np.array([0.5, 1.5]))
 
 
 class _LoopOnly(Distribution):

@@ -14,6 +14,9 @@ from repro.errors import SchemaVersionError, ServiceError
 from repro.service import ServiceConfig, ShardProcessPool
 from repro.service.client import RetryingClient, ServiceClient
 from repro.service.server import ServiceHandle
+from repro.service.state import value_histogram
+
+from .object_reference import replay_object_session
 
 pytestmark = pytest.mark.slow
 
@@ -129,23 +132,22 @@ class TestProcessMode:
             handle.stop()
 
     def test_columnar_process_service_matches_object(self, tmp_path):
-        # Satellite check at full depth: the same served workload through
-        # object-mode and columnar-mode process fleets commits identical
-        # results (structured-language programs spill before any RNG use).
-        results = {}
-        for mode in ("object", "columnar"):
-            handle = ServiceHandle.start(
-                _config(tmp_path / mode, collection=mode, replicate=False)
-            )
-            client = _client(handle)
-            try:
-                client.create("s0", PROGRAM, seed=3)
-                client.observe("s0", OBSERVE)
-                results[mode] = client.posterior("s0", top=5)
-            finally:
-                client.client.close()
-                handle.stop()
-        assert results["object"] == results["columnar"]
+        # At full depth: a process fleet runs its steps columnar and
+        # commits exactly the posterior an object-mode replay computes.
+        handle = ServiceHandle.start(_config(tmp_path, replicate=False))
+        client = _client(handle)
+        try:
+            client.create("s0", PROGRAM, seed=3)
+            client.observe("s0", OBSERVE)
+            served = client.posterior("s0", top=5)
+        finally:
+            client.client.close()
+            handle.stop()
+        reference = replay_object_session(
+            PROGRAM, [("observe", OBSERVE)], num_particles=10, seed=3
+        )
+        assert served["values"] == value_histogram(reference, top=5)
+        assert served["ess"] == reference.effective_sample_size()
 
 
 class TestPoolNegotiation:

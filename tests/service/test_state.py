@@ -1,15 +1,20 @@
 """DurableSessionStore: splice, histogram, commits, destructive close."""
 
+import random
+
 import numpy as np
 import pytest
 
 from repro.errors import BadRequestError, SessionError
 from repro.service import ServiceConfig
+from repro.service.loadgen import WORKLOADS
 from repro.service.state import (
     DurableSessionStore,
     insert_observation,
     value_histogram,
 )
+
+from .object_reference import fingerprint, replay_object_session
 
 PROGRAM = "x = gauss(0.0, 2.0);\nreturn x;"
 NUM_PARTICLES = 20
@@ -119,6 +124,29 @@ class TestDurability:
         assert dumps(before, "json") == dumps(after, "json")
         assert fresh.meta("s1")["tenant"] == "alice"
 
+    def test_recover_session_whose_steps_ran_columnar(self, tmp_path):
+        config = ServiceConfig(store_dir=str(tmp_path), num_particles=NUM_PARTICLES)
+        store = DurableSessionStore(config)
+        store.create_session(
+            "alice", "s1", PROGRAM, env=None, num_particles=None, seed=4
+        )
+        store.apply_observation("s1", "observe(gauss(x, 1.0) == 0.5);")
+        store.apply_observation("s1", "observe(gauss(x, 1.0) == 0.9);")
+        live = store.manager.get("s1").collection
+        assert type(live).__name__ == "ColumnarCollection"
+        before = store.posterior("s1", top=6)
+
+        fresh = DurableSessionStore(config)
+        assert fresh.recover() == ["s1"]
+        assert fresh.posterior("s1", top=6) == before
+        # The recovered session continues exactly as the live one does.
+        edit = "observe(gauss(x, 1.0) == 1.3);"
+        store.apply_observation("s1", edit)
+        fresh.apply_observation("s1", edit)
+        assert fingerprint(fresh.manager.get("s1").collection) == fingerprint(
+            store.manager.get("s1").collection
+        )
+
     def test_disk_bytes_positive_with_store(self, store):
         store.create_session("a", "s1", PROGRAM, env=None, num_particles=None, seed=1)
         assert store.disk_bytes("s1") > 0
@@ -155,47 +183,66 @@ class TestDurability:
 
 
 class TestColumnarServiceEquivalence:
-    def _run(self, tmp_path, collection):
-        config = ServiceConfig(
-            store_dir=str(tmp_path / collection),
-            num_particles=NUM_PARTICLES,
-            collection=collection,
-        )
+    """Served steps run columnar and commit exactly what object mode
+    would: the same particles, weights, log probs and return values."""
+
+    OPS = [
+        ("observe", "observe(gauss(x, 1.0) == 0.7);"),
+        ("edit", "x = gauss(0.5, 2.0);\nobserve(gauss(x, 1.0) == 0.7);\nreturn x;"),
+    ]
+
+    def _run(self, tmp_path, ops, program=PROGRAM, seed=5):
+        config = ServiceConfig(store_dir=str(tmp_path), num_particles=NUM_PARTICLES)
         store = DurableSessionStore(config)
-        store.create_session("a", "s1", PROGRAM, env=None, num_particles=None, seed=5)
-        store.apply_observation("s1", "observe(gauss(x, 1.0) == 0.7);")
-        store.apply_edit("s1", "x = gauss(0.5, 2.0);\nreturn x;")
+        store.create_session("a", "s1", program, env=None, num_particles=None, seed=seed)
+        for op, payload in ops:
+            if op == "observe":
+                store.apply_observation("s1", payload)
+            else:
+                store.apply_edit("s1", payload)
         return store
 
     def test_columnar_sessions_match_object_sessions(self, tmp_path):
-        # Served programs run through the structured-language
-        # interpreter, which spills columnar steps to the object path
-        # before any randomness is consumed — so the two collection
-        # modes must commit byte-identical posteriors.
-        object_store = self._run(tmp_path, "object")
-        columnar_store = self._run(tmp_path, "columnar")
-        assert object_store.posterior("s1", top=8) == columnar_store.posterior(
-            "s1", top=8
+        store = self._run(tmp_path, self.OPS)
+        served = store.manager.get("s1").collection
+        assert type(served).__name__ == "ColumnarCollection"
+        reference = replay_object_session(
+            PROGRAM, self.OPS, num_particles=NUM_PARTICLES, seed=5
         )
-        # The durable encodings differ by representation (columnar
-        # stores columns), but the particles they describe are bitwise
-        # the same once viewed as object traces.
-        object_collection = object_store.manager.get("s1").collection
-        columnar_collection = columnar_store.manager.get("s1").collection
-        assert type(columnar_collection).__name__ == "ColumnarCollection"
-        roundtripped = columnar_collection.to_weighted()
-        assert list(object_collection.log_weights) == list(
-            roundtripped.log_weights
+        assert fingerprint(served) == fingerprint(reference)
+        posterior = store.posterior("s1", top=8)
+        assert posterior["values"] == value_histogram(reference, top=8)
+        assert posterior["ess"] == reference.effective_sample_size()
+
+    @pytest.mark.parametrize("workload", sorted(WORKLOADS))
+    def test_loadgen_workloads_match_object_mode(self, tmp_path, workload):
+        program, ops = WORKLOADS[workload](0, 6, random.Random(3))
+        store = self._run(tmp_path, ops, program=program, seed=11)
+        served = store.manager.get("s1").collection
+        assert type(served).__name__ == "ColumnarCollection"
+        reference = replay_object_session(
+            program, ops, num_particles=NUM_PARTICLES, seed=11
         )
-        assert [t.return_value for t in object_collection.items] == [
-            t.return_value for t in roundtripped.items
-        ]
+        assert fingerprint(served) == fingerprint(reference)
 
     def test_session_config_carries_collection_mode(self, tmp_path):
-        store = DurableSessionStore(
-            ServiceConfig(store_dir=str(tmp_path), collection="columnar")
-        )
+        store = DurableSessionStore(ServiceConfig(store_dir=str(tmp_path)))
         assert store._session_config.collection == "columnar"
+
+    def test_histogram_reads_the_return_column(self, tmp_path):
+        program = (
+            "z = flip(0.3);\nm = z ? 2.0 : -2.0;\n"
+            "observe(gauss(m, 1.0) == 0.4);\nreturn z;"
+        )
+        store = self._run(
+            tmp_path, [("observe", "observe(gauss(m, 1.0) == 1.1);")], program=program
+        )
+        served = store.manager.get("s1").collection
+        assert isinstance(served.return_value, np.ndarray)
+        histogram = value_histogram(served, top=4)
+        assert histogram == value_histogram(served.to_weighted(), top=4)
+        assert sorted(entry["value"] for entry in histogram) == [0, 1]
+        assert all(type(entry["value"]) is int for entry in histogram)
 
 
 class TestLazySessionLifecycle:

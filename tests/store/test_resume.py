@@ -135,6 +135,25 @@ class TestResumeByteIdentity:
         )
         assert dumps(resumed) == dumps(full)
 
+    @pytest.mark.parametrize("kill_after", [1, 2])
+    def test_columnar_collection(self, tmp_path, kill_after):
+        """Checkpoints of columnar steps hold a ColumnarCollection; the
+        latest one loads and resumes to the uninterrupted bytes."""
+        models, translators = translator_chain([0.0, 0.5, 1.0, 1.5])
+        full = run_full(
+            translators, initial_collection(models), 7, collection="columnar"
+        )
+        assert type(full).__name__ == "ColumnarCollection"
+        checkpoints = CheckpointManager(tmp_path)
+        resumed = kill_and_resume(
+            tmp_path, translators, initial_collection(models), 7, kill_after,
+            collection="columnar",
+        )
+        assert type(checkpoints.load_latest().collection).__name__ == (
+            "ColumnarCollection"
+        )
+        assert dumps(resumed) == dumps(full)
+
     def test_thread_executor(self, tmp_path, chain):
         models, translators = chain
         kwargs = {"executor": "thread", "workers": 2}
