@@ -3,12 +3,14 @@
 :class:`ColumnarCollection` stores an embedded-PPL particle population
 address-major: one float64 array of values and one of log probabilities
 per address, plus a log-weight vector — the trie-of-arrays layout of
-GenJAX's vmap-based SMC (see PAPERS.md).  The columnar SMC step
-(:func:`columnar_infer_step`) runs the target program **once** with a
+GenJAX's vmap-based SMC (see PAPERS.md).  The columnar weigh of an SMC
+step (:func:`columnar_infer_step`) runs the target program **once** with a
 handler whose ``sample`` returns whole columns, so reused addresses are
 re-scored with one :meth:`~repro.distributions.Distribution.log_prob_batch`
 call per address and resampling is one ``np.take`` per column, instead
 of one Python ``log_prob`` call and one object gather per particle.
+The rest of the step is :func:`repro.core.smc._infer_step`, shared with
+the object layout.
 
 Equivalence contract
 --------------------
@@ -29,18 +31,22 @@ Spilling
 --------
 
 Anything the columnar runtime cannot represent raises
-:class:`ColumnarSpill`, and :func:`repro.core.smc._infer_step` falls
-back to the object path for that step.  Spill triggers include:
+:class:`ColumnarSpill`, and :func:`repro.core.smc._infer_step` weighs
+that step's population on the object path instead, inside the same
+``smc.translate`` span.  Spill triggers include:
 heterogeneous address sets or orders across particles, non-numeric
 choice values, translators other than a plain
 :class:`~repro.core.corr_translator.CorrespondenceTranslator` (forward
 or backward proposals, MCMC rejuvenation kernels, containing fault
 policies), support comparisons that are ambiguous for array-valued
 parameters, and models whose control flow branches on a sampled value
-(an array in a ``bool`` context raises, which spills).  A spill can
-come after the step drew fresh choices; :func:`repro.core.smc._infer_step`
-restores the step RNG's state before replaying the step on the object
-path, so every spilled step is byte-identical to an object-mode step.
+(an array in a ``bool`` context raises, which spills).  A spill's
+``stage`` is ``"preflight"`` when it is raised before any randomness is
+consumed (contract checks, the static plan, columnarizing the input)
+and ``"probe"`` when the batched run raises it — possibly after it drew
+fresh choices, so :func:`repro.core.smc._infer_step` restores the step
+RNG's state before weighing on the object path, and every spilled step
+is byte-identical to an object-mode step.
 
 Batched return values follow the vmap convention: any ndarray in the
 model's return value whose leading dimension equals the particle count
@@ -89,12 +95,17 @@ class ColumnarSpill(Exception):
     human-readable ``detail``.
     """
 
-    def __init__(self, code: str, detail: Optional[str] = None):
+    def __init__(
+        self, code: str, detail: Optional[str] = None, *, stage: str = "preflight"
+    ):
         if detail is None:
             # Single-argument (legacy) form: the argument is the detail.
             code, detail = "unspecified", code
         self.code = code
         self.detail = detail
+        #: ``"preflight"`` when raised before the step consumed any
+        #: randomness, ``"probe"`` when the batched run raised it.
+        self.stage = stage
         super().__init__(f"[{code}] {detail}")
 
 
@@ -917,15 +928,12 @@ def columnar_infer_step(
     config,
     step_index: Optional[int] = None,
     executor: Any = None,
-):
-    """One Algorithm-2 step on columns; raises :class:`ColumnarSpill`
-    when the step cannot be represented columnar (the caller falls back
-    to the object path)."""
-    from ..observability import NULL_HOOKS
-    from .smc import SMCStats, SMCStep, _degeneracy_guard
-
-    policy = config.fault_policy
-    _check_translator(translator, mcmc_kernel, policy)
+) -> Tuple[ColumnarCollection, np.ndarray]:
+    """Weigh a population under a translator, on columns: the translated
+    population (log weights still the input's) and its per-particle
+    Equation 2 increments.  Raises :class:`ColumnarSpill` when the step
+    cannot be represented columnar."""
+    _check_translator(translator, mcmc_kernel, config.fault_policy)
 
     # Static pre-flight: a certain finding (value-dependent control flow
     # in the target, ...) routes to the object path immediately — before
@@ -939,9 +947,7 @@ def columnar_infer_step(
             num_hint = None
         blocking = plan.blocking(num_particles=num_hint)
         if blocking is not None:
-            raise ColumnarSpill(
-                blocking.code, f"{blocking.detail} (static pre-flight)"
-            )
+            raise ColumnarSpill(blocking.code, blocking.detail)
 
     if isinstance(traces, ColumnarCollection):
         source = traces
@@ -953,136 +959,75 @@ def columnar_infer_step(
         )
 
     num = len(source)
-    tracer, metrics, hooks = config.tracer, config.metrics, config.hooks
-    if tracer.enabled or metrics.enabled:
-        bind = getattr(translator, "bind_observability", None)
-        if bind is not None:
-            bind(tracer, metrics)
-
-    hooks.on_step_start(step_index, num)
-    with tracer.span("smc.step") as step_span:
-        with tracer.span("smc.translate") as translate_span:
-            handler = _ColumnarForwardHandler(
-                rng,
-                translator.target.observations,
-                translator.correspondence,
-                source,
-                num,
-            )
-            try:
-                # Column arithmetic may overflow or produce NaN lanes
-                # exactly as the scalar path does, silently.
-                with np.errstate(all="ignore"):
-                    translator.target.run(handler)
-            except ColumnarSpill:
-                raise
-            except Exception as error:
-                # Array-in-bool-context, shape mismatches, real model
-                # faults — the object path re-runs the step and reports
-                # (or contains) the true error per particle.  Numpy's
-                # truth-value guard identifies the control-flow case
-                # (a branch condition received a whole column).
-                code = (
-                    "control-flow"
-                    if isinstance(error, ValueError)
-                    and "truth value" in str(error)
-                    else "execution"
-                )
-                raise ColumnarSpill(
-                    code, f"batched execution failed: {error!r}"
-                ) from error
-
-            if executor is not None:
-                # The object path spawns per-particle streams whenever an
-                # executor is configured; consume the same single draw so
-                # the step RNG leaves this phase in the identical state.
-                from ..parallel import spawn_particle_rngs
-
-                spawn_particle_rngs(rng, num)
-
-            if hooks is not NULL_HOOKS:
-                for index in range(num):
-                    hooks.on_particle(index, "ok")
-            if tracer.enabled:
-                translate_span.count("particles", num)
-                translate_span.count("choices.reused", len(handler.reused))
-                translate_span.count("choices.fresh", handler.sampled_fresh)
-
-        translated = ColumnarCollection(
-            num,
-            np.zeros(num, dtype=np.float64),  # placeholder; set below
-            tuple(handler.choice_order),
-            handler.choices,
-            tuple(handler.obs_order),
-            handler.observations,
-            return_value=handler.trace.return_value,
-            metadata=None if source.metadata is None else list(source.metadata),
-        )
-
-        # -- Equation 2, term by term across the population --------------
-        target_col = translated.total_log_probs
-        source_col = source.total_log_probs
-        reused_sources = set(handler.reused.values())
-        backward_col = np.zeros(num, dtype=np.float64)
-        for address in source._choice_order:
-            if address not in reused_sources:
-                # Plain `+` in P's execution order: the scalar backward
-                # scorer's accumulator, vectorized.
-                backward_col = backward_col + source._choices[address].log_probs
-        forward_col = (
-            handler.forward_log_prob
-            if isinstance(handler.forward_log_prob, np.ndarray)
-            else np.zeros(num, dtype=np.float64)
-        )
-        value_array = _combine_columns(target_col, backward_col, source_col, forward_col)
-
-        old_log_weights = source.log_weights
-        new_log_weights = (
-            old_log_weights + value_array if config.use_weights else old_log_weights.copy()
-        )
-        translated.log_weights = np.asarray(new_log_weights, dtype=np.float64)
-        translated._totals = target_col
-
-        input_log_norm = _log_normalized_weights(old_log_weights)
-        log_mean_increment = float(log_sum_exp_array(input_log_norm + value_array))
-
-        _degeneracy_guard(translated.log_weights, "after translation")
-        ess_before = translated.effective_sample_size()
-        should_resample = config.resample == "always" or (
-            config.resample == "adaptive"
-            and ess_before < config.ess_threshold * num
-        )
-        hooks.on_resample(ess_before, should_resample)
-        collection = translated
-        if should_resample:
-            with tracer.span("smc.resample"):
-                collection = collection.resample(rng, scheme=config.resampling_scheme)
-
-        with tracer.span("smc.mcmc") as mcmc_span:
-            pass  # rejuvenation kernels spill before this point
-
-        if tracer.enabled:
-            step_span.count("particles", num)
-            step_span.count("faults", 0)
-
-    if metrics.enabled:
-        metrics.counter("smc.steps").inc()
-        metrics.counter("smc.columnar.steps").inc()
-        metrics.counter("smc.particles_translated").inc(num)
-        if should_resample:
-            metrics.counter("smc.resamples").inc()
-        metrics.histogram("smc.ess_before_resample").observe(ess_before)
-        metrics.histogram("smc.translate_seconds").observe(translate_span.duration)
-
-    stats = SMCStats(
-        num_traces=len(collection),
-        ess_before_resample=ess_before,
-        ess_after=collection.effective_sample_size(),
-        resampled=should_resample,
-        log_mean_weight_increment=log_mean_increment,
-        translate_seconds=translate_span.duration,
-        mcmc_seconds=mcmc_span.duration,
-        collection_mode="columnar",
+    handler = _ColumnarForwardHandler(
+        rng,
+        translator.target.observations,
+        translator.correspondence,
+        source,
+        num,
     )
-    hooks.on_step_end(stats)
-    return SMCStep(collection, stats)
+    try:
+        # Column arithmetic may overflow or produce NaN lanes exactly as
+        # the scalar path does, silently.
+        with np.errstate(all="ignore"):
+            translator.target.run(handler)
+    except ColumnarSpill as spill:
+        spill.stage = "probe"
+        raise
+    except Exception as error:
+        # Array-in-bool-context, shape mismatches, real model faults —
+        # the object path re-runs the step and reports (or contains) the
+        # true error per particle.  Numpy's truth-value guard identifies
+        # the control-flow case (a branch condition received a whole
+        # column).
+        code = (
+            "control-flow"
+            if isinstance(error, ValueError) and "truth value" in str(error)
+            else "execution"
+        )
+        raise ColumnarSpill(
+            code, f"batched execution failed: {error!r}", stage="probe"
+        ) from error
+
+    if executor is not None:
+        # The object path spawns per-particle streams whenever an
+        # executor is configured; consume the same single draw so the
+        # step RNG leaves this phase in the identical state.
+        from ..parallel import spawn_particle_rngs
+
+        spawn_particle_rngs(rng, num)
+
+    tracer = config.tracer
+    if tracer.enabled:  # counted on the caller's smc.translate span
+        tracer.count("particles", num)
+        tracer.count("choices.reused", len(handler.reused))
+        tracer.count("choices.fresh", handler.sampled_fresh)
+
+    translated = ColumnarCollection(
+        num,
+        source.log_weights,
+        tuple(handler.choice_order),
+        handler.choices,
+        tuple(handler.obs_order),
+        handler.observations,
+        return_value=handler.trace.return_value,
+        metadata=None if source.metadata is None else list(source.metadata),
+    )
+
+    # -- Equation 2, term by term across the population ------------------
+    reused_sources = set(handler.reused.values())
+    backward_col = np.zeros(num, dtype=np.float64)
+    for address in source._choice_order:
+        if address not in reused_sources:
+            # Plain `+` in P's execution order: the scalar backward
+            # scorer's accumulator, vectorized.
+            backward_col = backward_col + source._choices[address].log_probs
+    forward_col = (
+        handler.forward_log_prob
+        if isinstance(handler.forward_log_prob, np.ndarray)
+        else np.zeros(num, dtype=np.float64)
+    )
+    increments = _combine_columns(
+        translated.total_log_probs, backward_col, source.total_log_probs, forward_col
+    )
+    return translated, increments

@@ -55,6 +55,15 @@ structural boundaries and the metrics registry tallies particles,
 faults, resamples, and per-step ESS.  All instrumentation is RNG-free:
 enabling it never changes the sampled traces or weights.
 
+Storage layouts
+---------------
+
+One step skeleton serves both layouts; only weighing the population
+differs.  ``collection="columnar"`` tries
+:func:`repro.core.columnar.columnar_infer_step` and, on a
+:class:`~repro.core.columnar.ColumnarSpill`, restores the step RNG and
+weighs on the object path inside the same ``smc.translate`` span.
+
 Fault isolation
 ---------------
 
@@ -86,7 +95,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -152,11 +161,14 @@ class SMCStats:
     #: spilled reports ``"object"`` — the field records what actually
     #: ran, not what was requested.
     collection_mode: str = "object"
-    #: The :class:`~repro.core.columnar.ColumnarSpill` code of a
-    #: columnar-configured step that ran on the object path (``None``
-    #: otherwise).  Not an init field, so encoded stats (checkpoint
-    #: extras) carry the same bytes whether or not a step spilled.
+    #: The ``code``, ``detail`` and ``stage`` (``"preflight"`` or
+    #: ``"probe"``) of the :class:`~repro.core.columnar.ColumnarSpill` of
+    #: a columnar-configured step that ran on the object path (``None``
+    #: otherwise).  Not init fields, so encoded stats (checkpoint extras)
+    #: carry the same bytes whether or not a step spilled.
     spill_code: Optional[str] = field(default=None, init=False)
+    spill_detail: Optional[str] = field(default=None, init=False)
+    spill_stage: Optional[str] = field(default=None, init=False)
 
     @property
     def total_faults(self) -> int:
@@ -409,6 +421,104 @@ def _run_preflight(
     apply_validation_mode(config.validate, preflight_inference(translators, config))
 
 
+@dataclass
+class _Weighing:
+    """A population weighed under a translator: the layout-specific half
+    of a step.  ``population`` is the translated item list, or a
+    :class:`~repro.core.columnar.ColumnarCollection` whose log weights
+    the step sets; ``values`` are as in :func:`translate_particle`.  A
+    columnar weighing has no outcome masks: every particle is ``"ok"``."""
+
+    population: Any
+    values: np.ndarray
+    ok: Optional[np.ndarray] = None
+    regenerated: Optional[np.ndarray] = None
+    counters: _FaultCounters = field(default_factory=_FaultCounters)
+    faults_by_worker: Optional[Dict[int, int]] = None
+    backend_name: Optional[str] = None
+
+
+def _translate_inline(
+    translator: TraceTranslator,
+    items: Sequence[Any],
+    rng: np.random.Generator,
+    policy: FaultPolicy,
+    regenerate_fn: Optional[RegenerateFn],
+    tracer: Any,
+) -> Iterator[Tuple[str, Any, float, CounterDeltas]]:
+    """The legacy inline loop: every particle draws from the shared step
+    RNG, byte-identical to the pre-executor behaviour."""
+    trace_enabled = tracer.enabled
+    for item in items:
+        if trace_enabled:
+            with tracer.span("translate.particle") as particle_span:
+                result = translate_particle(translator, item, rng, policy, regenerate_fn)
+                particle_span.count(_OUTCOME_COUNTERS[result[0]])
+            yield result
+        else:
+            yield translate_particle(translator, item, rng, policy, regenerate_fn)
+
+
+def _weigh_objects(
+    translator: TraceTranslator,
+    traces: WeightedCollection,
+    rng: np.random.Generator,
+    config: InferenceConfig,
+    regenerate_fn: Optional[RegenerateFn],
+    executor: Any,
+) -> _Weighing:
+    """Translate and weigh one Trace per particle, under the fault policy."""
+    policy, tracer = config.fault_policy, config.tracer
+    faults_by_worker: Optional[Dict[int, int]] = None
+    backend_name: Optional[str] = None
+    if executor is None:
+        results = _translate_inline(
+            translator, traces.items, rng, policy, regenerate_fn, tracer
+        )
+    else:
+        from ..parallel import spawn_particle_rngs
+
+        backend_name = getattr(executor, "name", type(executor).__name__)
+        with tracer.span(f"executor.{backend_name}") as executor_span:
+            seeds = spawn_particle_rngs(rng, len(traces))
+            mapped = executor.map_translate(
+                translator, traces.items, seeds, policy, regenerate_fn
+            )
+        faults_by_worker = {}
+        for r in mapped:
+            faults_by_worker[r.worker] = faults_by_worker.get(r.worker, 0) + r.failed
+        # Hooks fire in particle order after the map returns, so observers
+        # see the same sequence as the inline loop — just batched at the
+        # end of the phase.
+        results = [
+            (r.outcome, r.trace, r.value, (r.failed, r.retried, r.dropped, r.regenerated))
+            for r in mapped
+        ]
+        if tracer.enabled:
+            executor_span.count("particles", len(mapped))
+            executor_span.count("chunks", len(faults_by_worker))
+            executor_span.count("workers", int(getattr(executor, "workers", 0)))
+            for outcome_kind, counter in _OUTCOME_COUNTERS.items():
+                observed = sum(r.outcome == outcome_kind for r in mapped)
+                if observed:
+                    executor_span.count(counter, observed)
+    counters, on_particle = _FaultCounters(), config.hooks.on_particle
+    new_items: List[Any] = []
+    outcomes: List[str] = []
+    values: List[float] = []
+    for index, (outcome, trace, value, deltas) in enumerate(results):
+        counters.merge(deltas)
+        on_particle(index, outcome)
+        outcomes.append(outcome)
+        new_items.append(trace)
+        values.append(value)
+    kinds = np.asarray(outcomes)
+    return _Weighing(
+        new_items, np.asarray(values, dtype=float), kinds == "ok",
+        kinds == "regenerated", counters, faults_by_worker, backend_name,
+    )
+
+
 def _infer_step(
     translator: TraceTranslator,
     traces: WeightedCollection,
@@ -418,138 +528,71 @@ def _infer_step(
     step_index: Optional[int] = None,
     executor: Any = None,
 ) -> SMCStep:
-    """One Algorithm-2 step under an already-validated config."""
-    spill_code: Optional[str] = None
-    if config.collection == "columnar":
-        from .columnar import ColumnarSpill, columnar_infer_step
-
-        rng_state = rng.bit_generator.state
-        try:
-            return columnar_infer_step(
-                translator,
-                traces,
-                rng,
-                mcmc_kernel,
-                config,
-                step_index=step_index,
-                executor=executor,
-            )
-        except ColumnarSpill as spill:
-            # Spill: this step cannot be represented columnar.  The
-            # batched run may have drawn fresh choices before it failed,
-            # so the RNG goes back to its state at the step's start and
-            # the object path below replays the step byte-identically
-            # to an object-mode run.
-            rng.bit_generator.state = rng_state
-            spill_code = spill.code
-            if config.metrics.enabled:
-                config.metrics.counter(f"smc.columnar.spills.{spill_code}").inc()
-    if not isinstance(traces, WeightedCollection):
-        # Columnar input reaching the object path (spill, or a config
-        # switch mid-sequence): materialize object traces once.
-        traces = traces.to_weighted()
-    policy: FaultPolicy = config.fault_policy  # coerced by InferenceConfig
-    regenerate_fn = _resolve_regenerate(policy, translator)
-    counters = _FaultCounters()
+    """One Algorithm-2 step under an already-validated config, for both
+    storage layouts (see "Storage layouts" above)."""
+    regenerate_fn = _resolve_regenerate(config.fault_policy, translator)
     tracer, metrics, hooks = config.tracer, config.metrics, config.hooks
-    trace_enabled = tracer.enabled
-
-    if trace_enabled or metrics.enabled:
+    if tracer.enabled or metrics.enabled:
         bind = getattr(translator, "bind_observability", None)
         if bind is not None:
             bind(tracer, metrics)
 
+    spill: Any = None
+    weighing: Optional[_Weighing] = None
+    mode = "object"
     hooks.on_step_start(step_index, len(traces))
     with tracer.span("smc.step") as step_span:
-        new_items: List[Any] = []
-        outcomes: List[str] = []
-        #: Per-particle value: the log-weight increment for "ok", -inf for
-        #: "dropped", the new absolute log weight for "regenerated".
-        values: List[float] = []
-        faults_by_worker: Optional[Dict[int, int]] = None
-        backend_name: Optional[str] = None
-        open_span = tracer.span  # hoisted: one bound-method lookup, not N
-        on_particle = hooks.on_particle
         with tracer.span("smc.translate") as translate_span:
-            if executor is None:
-                # Legacy inline loop: every particle draws from the shared
-                # step RNG, byte-identical to the pre-executor behaviour.
-                for index, item in enumerate(traces.items):
-                    if trace_enabled:
-                        with open_span("translate.particle") as particle_span:
-                            outcome, trace, value, deltas = translate_particle(
-                                translator, item, rng, policy, regenerate_fn
-                            )
-                            particle_span.count(_OUTCOME_COUNTERS[outcome])
-                    else:
-                        outcome, trace, value, deltas = translate_particle(
-                            translator, item, rng, policy, regenerate_fn
-                        )
-                    counters.merge(deltas)
-                    on_particle(index, outcome)
-                    outcomes.append(outcome)
-                    new_items.append(trace)
-                    values.append(value)
-            else:
-                from ..parallel import spawn_particle_rngs
+            if config.collection == "columnar":
+                # Looked up through the module on every step, so wrappers
+                # installed on the module attribute see each attempt.
+                from . import columnar
 
-                backend_name = getattr(executor, "name", type(executor).__name__)
-                with open_span(f"executor.{backend_name}") as executor_span:
-                    seeds = spawn_particle_rngs(rng, len(traces))
-                    results = executor.map_translate(
-                        translator, traces.items, seeds, policy, regenerate_fn
+                rng_state = rng.bit_generator.state
+                try:
+                    population, values = columnar.columnar_infer_step(
+                        translator, traces, rng, mcmc_kernel, config,
+                        step_index=step_index, executor=executor,
                     )
-                    faults_by_worker = {}
-                    for index, result in enumerate(results):
-                        counters.merge(
-                            (result.failed, result.retried, result.dropped,
-                             result.regenerated)
-                        )
-                        faults_by_worker[result.worker] = (
-                            faults_by_worker.get(result.worker, 0) + result.failed
-                        )
-                        # Hooks fire in particle order after the map returns,
-                        # so observers see the same sequence as the inline
-                        # loop — just batched at the end of the phase.
-                        on_particle(index, result.outcome)
-                        outcomes.append(result.outcome)
-                        new_items.append(result.trace)
-                        values.append(result.value)
-                    if trace_enabled:
-                        executor_span.count("particles", len(results))
-                        executor_span.count("chunks", len(faults_by_worker))
-                        executor_span.count(
-                            "workers", int(getattr(executor, "workers", 0))
-                        )
-                        for outcome_kind, counter in _OUTCOME_COUNTERS.items():
-                            observed = outcomes.count(outcome_kind)
-                            if observed:
-                                executor_span.count(counter, observed)
+                except columnar.ColumnarSpill as raised:
+                    # The batched run may have drawn fresh choices before
+                    # it failed, so the RNG goes back to its state at the
+                    # step's start and the object path replays the step
+                    # byte-identically to an object-mode run.
+                    rng.bit_generator.state = rng_state
+                    spill = raised
+                    if metrics.enabled:
+                        metrics.counter(f"smc.columnar.spills.{spill.code}").inc()
+                else:
+                    weighing, mode = _Weighing(population, values), "columnar"
+                    for index in range(len(population)):
+                        hooks.on_particle(index, "ok")
+            if weighing is None:
+                if not isinstance(traces, WeightedCollection):
+                    # Columnar input reaching the object path (spill, or a
+                    # config switch mid-sequence): materialize it once.
+                    traces = traces.to_weighted()
+                weighing = _weigh_objects(
+                    translator, traces, rng, config, regenerate_fn, executor
+                )
+        counters = weighing.counters
 
-        # Vectorized weight assembly: one numpy pass instead of a Python
-        # branch per particle.  "ok" carries the old weight forward (plus
-        # the increment unless ablated); "dropped" lands on -inf and
+        # Vectorized weight assembly: "ok" carries the old weight forward
+        # (plus the increment unless ablated); "dropped" lands on -inf and
         # "regenerated" on its absolute importance weight — both of which
-        # arrive pre-encoded in `values`.
-        value_array = np.asarray(values, dtype=float)
-        old_log_weights = np.asarray(traces.log_weights, dtype=float)
-        ok_mask = np.fromiter(
-            (outcome == "ok" for outcome in outcomes), dtype=bool, count=len(outcomes)
-        )
-        regenerated_mask = np.fromiter(
-            (outcome == "regenerated" for outcome in outcomes),
-            dtype=bool,
-            count=len(outcomes),
-        )
-        carried = (
-            old_log_weights + value_array if config.use_weights else old_log_weights
-        )
-        new_log_weights = np.where(ok_mask, carried, value_array)
-        collection: WeightedCollection = WeightedCollection(
-            new_items,
-            new_log_weights.tolist(),
-            metadata=None if traces.metadata is None else list(traces.metadata),
-        )
+        # arrive pre-encoded in the values.
+        values = weighing.values
+        old_log_weights = np.array(traces.log_weights, dtype=float)
+        carried = old_log_weights + values if config.use_weights else old_log_weights
+        if mode == "columnar":  # every particle "ok"
+            collection = weighing.population
+            collection.log_weights = carried
+        else:
+            collection = WeightedCollection(
+                weighing.population,
+                np.where(weighing.ok, carried, values).tolist(),
+                metadata=None if traces.metadata is None else list(traces.metadata),
+            )
 
         # Incremental evidence estimate, entirely in log space:
         # logsumexp_j(log W_j + d_j) with W the input's normalized weights
@@ -558,10 +601,10 @@ def _infer_step(
         # excluded — they have no translation increment — while dropped
         # particles contribute exactly zero mass via d = -inf.  Log space
         # keeps particles whose linear weight underflows exp() in the sum.
-        input_log_norm = traces.log_normalized_weights()
-        log_mean_increment = float(
-            log_sum_exp_array((input_log_norm + value_array)[~regenerated_mask])
-        )
+        increments = traces.log_normalized_weights() + values
+        if mode == "object":
+            increments = increments[~weighing.regenerated]
+        log_mean_increment = float(log_sum_exp_array(increments))
 
         _degeneracy_guard(collection.log_weights, "after translation")
         ess_before = collection.effective_sample_size()
@@ -575,8 +618,8 @@ def _infer_step(
                 collection = collection.resample(rng, scheme=config.resampling_scheme)
 
         with tracer.span("smc.mcmc") as mcmc_span:
-            if mcmc_kernel is not None:
-                if policy.contains_faults:
+            if mcmc_kernel is not None:  # the columnar weigh spills on kernels
+                if config.fault_policy.contains_faults:
                     rejuvenated: List[Any] = []
                     for item, log_weight in zip(collection.items, collection.log_weights):
                         if log_weight == NEG_INF:
@@ -595,14 +638,17 @@ def _infer_step(
                 else:
                     collection = collection.map(lambda trace: mcmc_kernel(rng, trace))
 
-        if trace_enabled:
+        if tracer.enabled:
             step_span.count("particles", len(traces))
             step_span.count("faults", counters.failed + counters.mcmc_failed)
-            if spill_code is not None:
-                step_span.count(f"columnar.spill.{spill_code}")
+            if spill is not None:
+                step_span.count(f"columnar.spill.{spill.code}")
+                step_span.count(f"columnar.spill_stage.{spill.stage}")
 
     if metrics.enabled:
         metrics.counter("smc.steps").inc()
+        if mode == "columnar":
+            metrics.counter("smc.columnar.steps").inc()
         metrics.counter("smc.particles_translated").inc(len(traces))
         metrics.counter("smc.particles_dropped").inc(counters.dropped)
         metrics.counter("smc.particles_regenerated").inc(counters.regenerated)
@@ -611,6 +657,7 @@ def _infer_step(
         metrics.counter("smc.faults.mcmc_failed").inc(counters.mcmc_failed)
         if should_resample:
             metrics.counter("smc.resamples").inc()
+        backend_name = weighing.backend_name
         if backend_name is not None:
             metrics.counter(f"smc.executor.{backend_name}.steps").inc()
             metrics.counter(f"smc.executor.{backend_name}.particles").inc(len(traces))
@@ -630,9 +677,13 @@ def _infer_step(
         dropped=counters.dropped,
         regenerated=counters.regenerated,
         mcmc_failed=counters.mcmc_failed,
-        faults_by_worker=faults_by_worker,
+        faults_by_worker=weighing.faults_by_worker,
+        collection_mode=mode,
     )
-    stats.spill_code = spill_code
+    if spill is not None:
+        stats.spill_code, stats.spill_detail, stats.spill_stage = (
+            spill.code, spill.detail, spill.stage
+        )
     hooks.on_step_end(stats)
     return SMCStep(collection, stats)
 

@@ -29,6 +29,7 @@ from repro.core import (
     InferenceConfig,
     Model,
     WeightedCollection,
+    infer,
 )
 from repro.core.columnar import ColumnarSpill, columnar_infer_step
 from repro.distributions import Flip, Gamma, Normal
@@ -359,7 +360,7 @@ class TestEveryCodeReachableAndPredicted:
         translator = _translator(_flip_src, _branch_obs_tgt, ["x"])
         plan, spill = _run(translator, _population(translator.source, 6))
         assert spill.code == "control-flow"
-        assert "(static pre-flight)" in spill.detail
+        assert spill.stage == "preflight"
         assert spill.code in plan.predicted_codes()
         assert not plan.eligible
         assert plan.blocking(num_particles=6) is not None
@@ -373,7 +374,7 @@ class TestEveryCodeReachableAndPredicted:
             translator, _population(translator.source, 6), probe=True
         )
         assert spill.code == "control-flow"
-        assert "(static pre-flight)" not in spill.detail
+        assert spill.stage == "probe"
         assert spill.code in plan.predicted_codes()
 
     def test_execution(self):
@@ -490,19 +491,24 @@ class TestPlanSoundnessOnEquivalenceSuite:
         translator = _param_edit_translator()
         plan = plan_columnar_step(translator)
         assert plan.eligible
-        step = columnar_infer_step(
+        step = infer(
             translator,
             _population(translator.source, 8),
             np.random.default_rng(11),
-            None,
-            InferenceConfig(),
+            config=InferenceConfig(collection="columnar"),
         )
         assert step.stats.collection_mode == "columnar"
+        assert step.stats.spill_code is None
 
 
 class TestSpillsAreObservable:
     """A spilled ``infer`` step reports its code in the stats, as a
-    ``smc.columnar.spills.<code>`` counter and on its ``smc.step`` span."""
+    ``smc.columnar.spills.<code>`` counter and on its ``smc.step`` span,
+    and still fires its hooks and opens its spans once."""
+
+    #: Codes the batched run raises; every other case spills before the
+    #: step consumes any randomness.
+    PROBED = {"batch-shape", "execution"}
 
     CASES = {
         "proposals": lambda: (
@@ -535,26 +541,57 @@ class TestSpillsAreObservable:
 
     @pytest.mark.parametrize("code", sorted(CASES))
     def test_spill_code_in_stats_metrics_and_span(self, code):
-        from repro.core import infer
-        from repro.observability import MetricsRegistry, Tracer
+        from repro.observability import MetricsRegistry, RecordingHooks, Tracer
 
         translator, options = self.CASES[code]()
         population = _population(translator.source, 16, seed=3)
-        metrics, tracer = MetricsRegistry(), Tracer()
+        metrics, tracer, hooks = MetricsRegistry(), Tracer(), RecordingHooks()
         step = infer(
             translator,
             population,
             np.random.default_rng(5),
             config=InferenceConfig(
-                collection="columnar", metrics=metrics, tracer=tracer, **options
+                collection="columnar",
+                metrics=metrics,
+                tracer=tracer,
+                hooks=hooks,
+                **options,
             ),
         )
+        stage = "probe" if code in self.PROBED else "preflight"
         assert step.stats.spill_code == code
+        assert step.stats.spill_stage == stage
+        assert step.stats.spill_detail
         assert step.stats.collection_mode == "object"
         assert metrics.counter(f"smc.columnar.spills.{code}").value == 1
-        marked = [
-            span
-            for span in tracer.spans("smc.step")
-            if span.counters and f"columnar.spill.{code}" in span.counters
-        ]
-        assert len(marked) == 1
+        events = {e: len(hooks.of(e)) for e in ("step_start", "resample", "step_end")}
+        assert events == {"step_start": 1, "resample": 1, "step_end": 1}
+        assert [e[1] for e in hooks.of("particle")] == list(range(16))
+        (step_span,) = tracer.spans("smc.step")
+        assert len(tracer.spans("smc.translate")) == 1
+        assert step_span.counters[f"columnar.spill.{code}"] == 1
+        assert step_span.counters[f"columnar.spill_stage.{stage}"] == 1
+
+
+class TestOneMetricSet:
+    def test_object_and_columnar_steps_emit_the_same_metrics(self):
+        """Both layouts count the same ``smc.*`` metrics; only a columnar
+        step adds ``smc.columnar.steps``."""
+        from repro.observability import MetricsRegistry
+        from tests.core.test_columnar_equivalence import _param_edit_translator
+
+        translator = _param_edit_translator()
+        population = _population(translator.source, 8)
+        names = {}
+        for mode in ("object", "columnar"):
+            metrics = MetricsRegistry()
+            step = infer(
+                translator,
+                population.copy(),
+                np.random.default_rng(11),
+                config=InferenceConfig(collection=mode, metrics=metrics),
+            )
+            assert step.stats.collection_mode == mode
+            names[mode] = {n for n in metrics.to_dict() if n.startswith("smc.")}
+        assert names["columnar"] - names["object"] == {"smc.columnar.steps"}
+        assert names["object"] <= names["columnar"]
