@@ -24,10 +24,16 @@ Soundness contract: :meth:`ColumnarPlan.predicted_codes` is a superset
 of the codes any actual spill of the planned step can carry, and a plan
 with no certain finding never *causes* a spill (the runtime probe is
 unchanged); it may only be wrong in the conservative direction.
+
+Profiles are computed once per model, not once per plan: an edit chain's
+step *i* targets the model that step *i+1* starts from, so each model is
+analyzed once however many translators share it (:func:`_model_profile`).
 """
 
 from __future__ import annotations
 
+import threading
+import weakref
 from dataclasses import dataclass, field
 from typing import Any, FrozenSet, List, Optional, Set, Tuple
 
@@ -329,6 +335,32 @@ def _profile_findings(
     return findings
 
 
+#: model -> (fn, args, observations, profile) of its last analysis.
+_PROFILES: "weakref.WeakKeyDictionary[Any, Tuple[Any, Any, Any, StaticProfile]]" = (
+    weakref.WeakKeyDictionary()
+)
+_PROFILES_LOCK = threading.Lock()
+
+
+def _model_profile(model: Any) -> StaticProfile:
+    """``analyze_model(model)``, reused while the model's ``fn``, ``args``
+    and ``observations`` are the very objects it was analyzed with.
+
+    Identity is the same assumption a translator's cached plan already
+    makes (nothing mutates a model's arguments in place between steps).
+    Profiles are shared, so consumers must treat them as read-only.
+    """
+    parts = (model.fn, model.args, model.observations)
+    with _PROFILES_LOCK:
+        cached = _PROFILES.get(model)
+    if cached is not None and all(a is b for a, b in zip(cached, parts)):
+        return cached[3]
+    profile = analyze_model(model)
+    with _PROFILES_LOCK:
+        _PROFILES[model] = (*parts, profile)
+    return profile
+
+
 def plan_columnar_step(
     translator: Any,
     *,
@@ -389,9 +421,9 @@ def plan_columnar_step(
     source = getattr(translator, "source", None)
     target = getattr(translator, "target", None)
     if isinstance(source, Model):
-        plan.source_profile = analyze_model(source)
+        plan.source_profile = _model_profile(source)
         plan.findings.extend(_profile_findings(plan.source_profile, "source"))
     if isinstance(target, Model):
-        plan.target_profile = analyze_model(target)
+        plan.target_profile = _model_profile(target)
         plan.findings.extend(_profile_findings(plan.target_profile, "target"))
     return plan

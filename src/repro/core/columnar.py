@@ -58,7 +58,7 @@ from __future__ import annotations
 import copy as _copy
 import dataclasses
 import math
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, ClassVar, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -538,7 +538,7 @@ class ColumnarCollection:
         metadata = None
         if self.metadata is not None:
             metadata = [_copy.deepcopy(self.metadata[int(i)]) for i in indices]
-        return ColumnarCollection(
+        resampled = ColumnarCollection(
             size,
             np.zeros(size, dtype=np.float64),
             self._choice_order,
@@ -548,6 +548,11 @@ class ColumnarCollection:
             return_value=_gather_batched(self.return_value, indices, len(self)),
             metadata=metadata,
         )
+        if self._totals is not None:
+            # A particle's total depends on its row alone, so gathering
+            # the totals equals re-reducing the gathered columns.
+            resampled._totals = self._totals.take(indices)
+        return resampled
 
     # -- conversions ---------------------------------------------------------
 
@@ -844,30 +849,53 @@ class _ColumnarForwardHandler:
 # ---------------------------------------------------------------------------
 
 
+@dataclasses.dataclass(frozen=True)
+class PlanUnavailable:
+    """Why a translator's static pre-flight could not be computed.
+
+    Planning is optional — the runtime probe still decides every step —
+    so a planner fault only costs the pre-flight.  It must not do so
+    silently: :func:`repro.core.smc._infer_step` reports ``code`` as the
+    ``smc.columnar.plan-unavailable.<class>`` metric and a
+    ``columnar.plan-unavailable.<class>`` counter on the ``smc.step``
+    span of every columnar step that ran without a plan.
+    """
+
+    code: ClassVar[str] = "plan-unavailable"
+    exception: str  # the planner exception's class name
+    detail: str
+
+
 def _static_plan(translator):
     """The translator's cached :class:`~repro.analysis.absint.plan.ColumnarPlan`.
 
     Computed once per translator (model-level facts only — kernel and
     fault-policy ineligibility is cheaper to check directly), so a
     sequence of steps over the same edit consults the abstract
-    interpreter exactly once instead of probing every step.  ``False``
-    caches "planning unavailable" (analysis import failed or the
-    translator refuses attributes).
+    interpreter exactly once instead of probing every step.  ``None``
+    when no plan is available: planning raised (cached as a
+    :class:`PlanUnavailable`) or a falsy value was cached.
     """
-    cached = getattr(translator, "_columnar_plan", None)
-    if cached is not None:
-        return cached or None
-    try:
-        from ..analysis.absint import plan_columnar_step
+    plan = getattr(translator, "_columnar_plan", None)
+    if plan is None:
+        try:
+            from ..analysis.absint import plan_columnar_step
 
-        plan = plan_columnar_step(translator)
-    except Exception:  # pragma: no cover - defensive: planning is optional
-        plan = False
-    try:
-        translator._columnar_plan = plan
-    except Exception:  # pragma: no cover - slotted/frozen translator
-        pass
-    return plan or None
+            plan = plan_columnar_step(translator)
+        except Exception as error:
+            name = type(error).__name__
+            plan = PlanUnavailable(name, f"{name}: {error}")
+        try:
+            translator._columnar_plan = plan
+        except Exception:  # pragma: no cover - slotted/frozen translator
+            pass
+    return None if not plan or isinstance(plan, PlanUnavailable) else plan
+
+
+def plan_unavailable(translator) -> Optional[PlanUnavailable]:
+    """The planning failure cached on ``translator``, if any."""
+    cached = getattr(translator, "_columnar_plan", None)
+    return cached if isinstance(cached, PlanUnavailable) else None
 
 
 def _check_translator(translator, mcmc_kernel, policy) -> None:

@@ -538,6 +538,7 @@ def _infer_step(
             bind(tracer, metrics)
 
     spill: Any = None
+    unplanned: Any = None
     weighing: Optional[_Weighing] = None
     mode = "object"
     hooks.on_step_start(step_index, len(traces))
@@ -567,6 +568,11 @@ def _infer_step(
                     weighing, mode = _Weighing(population, values), "columnar"
                     for index in range(len(population)):
                         hooks.on_particle(index, "ok")
+                unplanned = columnar.plan_unavailable(translator)
+                if unplanned is not None and metrics.enabled:
+                    metrics.counter(
+                        f"smc.columnar.{unplanned.code}.{unplanned.exception}"
+                    ).inc()
             if weighing is None:
                 if not isinstance(traces, WeightedCollection):
                     # Columnar input reaching the object path (spill, or a
@@ -644,6 +650,8 @@ def _infer_step(
             if spill is not None:
                 step_span.count(f"columnar.spill.{spill.code}")
                 step_span.count(f"columnar.spill_stage.{spill.stage}")
+            if unplanned is not None:
+                step_span.count(f"columnar.{unplanned.code}.{unplanned.exception}")
 
     if metrics.enabled:
         metrics.counter("smc.steps").inc()

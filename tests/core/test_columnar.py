@@ -23,7 +23,7 @@ from repro.core import (
     infer,
     single_site_mh,
 )
-from repro.core.columnar import _merge_dists
+from repro.core.columnar import _fsum_totals, _merge_dists
 from repro.distributions import Flip, Gamma, Normal, UniformDiscrete
 from repro.errors import ReproError
 from repro.store.codec import SCHEMA_VERSION, dumps, loads
@@ -118,6 +118,24 @@ class TestResample:
             col = columnar.resample(np.random.default_rng(5), scheme=scheme)
             assert [t["slope"] for t in obj.items] == col.value_column("slope").tolist()
             assert (col.log_weights == 0.0).all()
+
+    @pytest.mark.parametrize("computed", [True, False], ids=["computed", "lazy"])
+    def test_totals_survive_resampling_bitwise(self, computed):
+        coll = _population(_regression_model(with_flip=True), n=30)
+        columnar = ColumnarCollection.from_weighted(coll)
+        if computed:
+            columnar.total_log_probs  # the parent's totals exist before the gather
+        resampled = columnar.resample(np.random.default_rng(5), scheme="systematic")
+        assert (resampled._totals is not None) == computed
+        fresh = _fsum_totals(
+            len(resampled),
+            [resampled.log_prob_column(a) for a in resampled.addresses()],
+            [
+                resampled._observations[a].log_probs
+                for a in resampled.observation_addresses()
+            ],
+        )
+        assert resampled.total_log_probs.tobytes() == fresh.tobytes()
 
     def test_unknown_scheme_rejected(self):
         columnar = ColumnarCollection.from_weighted(_population(_regression_model()))

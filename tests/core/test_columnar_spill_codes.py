@@ -595,3 +595,65 @@ class TestOneMetricSet:
             names[mode] = {n for n in metrics.to_dict() if n.startswith("smc.")}
         assert names["columnar"] - names["object"] == {"smc.columnar.steps"}
         assert names["object"] <= names["columnar"]
+
+
+class TestPlanUnavailableIsObservable:
+    """A planner crash keeps the runtime probe as the only judge, and says
+    so: a ``plan-unavailable`` metric and ``smc.step`` counter carry the
+    exception class, and the step's population is unchanged."""
+
+    def _step(self, translator, population, **sinks):
+        return infer(
+            translator,
+            population.copy(),
+            np.random.default_rng(11),
+            config=InferenceConfig(collection="columnar", **sinks),
+        )
+
+    def test_planner_crash_is_reported_and_changes_nothing(self, monkeypatch):
+        import repro.analysis.absint as absint
+        from repro.core.columnar import plan_unavailable
+        from repro.observability import MetricsRegistry, Tracer
+        from tests.core.test_columnar_equivalence import _param_edit_translator
+
+        planned = _param_edit_translator()
+        population = _population(planned.source, 8)
+        expected = self._step(planned, population)
+
+        def crash(*args, **kwargs):
+            raise RuntimeError("planner bug")
+
+        monkeypatch.setattr(absint, "plan_columnar_step", crash)
+        translator = _param_edit_translator()
+        for _ in range(2):  # the failure is cached, and reported every step
+            metrics, tracer = MetricsRegistry(), Tracer()
+            step = self._step(translator, population, metrics=metrics, tracer=tracer)
+            assert step.stats.collection_mode == "columnar"
+            assert step.stats.spill_code is None
+            name = "plan-unavailable.RuntimeError"
+            assert metrics.counter(f"smc.columnar.{name}").value == 1
+            (step_span,) = tracer.spans("smc.step")
+            assert step_span.counters[f"columnar.{name}"] == 1
+            assert step.collection.log_weights.tobytes() == (
+                expected.collection.log_weights.tobytes()
+            )
+            for address in expected.collection.addresses():
+                assert step.collection.value_column(address).tobytes() == (
+                    expected.collection.value_column(address).tobytes()
+                )
+        unavailable = plan_unavailable(translator)
+        assert unavailable.code == "plan-unavailable"
+        assert unavailable.detail == "RuntimeError: planner bug"
+
+    def test_planned_step_reports_nothing(self):
+        from repro.observability import MetricsRegistry, Tracer
+        from tests.core.test_columnar_equivalence import _param_edit_translator
+
+        translator = _param_edit_translator()
+        metrics, tracer = MetricsRegistry(), Tracer()
+        self._step(
+            translator, _population(translator.source, 8), metrics=metrics, tracer=tracer
+        )
+        assert not [n for n in metrics.to_dict() if "plan-unavailable" in n]
+        (step_span,) = tracer.spans("smc.step")
+        assert not [n for n in step_span.counters or {} if "plan-unavailable" in n]

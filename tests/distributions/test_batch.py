@@ -200,3 +200,92 @@ class TestBmathHelpers:
     def test_shape_preserved(self):
         xs = np.arange(1.0, 7.0).reshape(2, 3)
         assert bmath.log(xs).shape == (2, 3)
+
+
+class TestMemo:
+    """The exact helpers remember recent float64 inputs by bit pattern;
+    every answer stays bitwise equal to ``math.*`` per element."""
+
+    @staticmethod
+    def assert_exact(array_fn, scalar_fn, xs):
+        out = array_fn(xs)
+        assert out.dtype == np.float64 and out.shape == xs.shape
+        for got, x in zip(out.tolist(), xs.tolist()):
+            want = scalar_fn(x)
+            assert got.hex() == want.hex() or (math.isnan(got) and math.isnan(want))
+
+    def test_signed_zeros_do_not_collide(self):
+        for first, second in ((-0.0, 0.0), (0.0, -0.0)):
+            a = bmath.log1p(np.full(3, first))
+            b = bmath.log1p(np.full(3, second))
+            assert [math.copysign(1.0, v) for v in a] == [math.copysign(1.0, first)] * 3
+            assert [math.copysign(1.0, v) for v in b] == [math.copysign(1.0, second)] * 3
+
+    def test_nan_inputs(self):
+        xs = np.array([float("nan"), 1.0, -float("nan"), 2.0])
+        for _ in range(2):  # miss, then hit
+            out = bmath.exp(xs)
+            assert np.isnan(out[0]) and np.isnan(out[2])
+            assert out[1] == math.exp(1.0) and out[3] == math.exp(2.0)
+
+    def test_mutating_a_result_does_not_poison_hits(self):
+        xs = np.linspace(0.5, 3.0, 7)
+        first = bmath.log(xs)
+        first[:] = 99.0
+        second = bmath.log(xs)  # a hit
+        second[:] = -1.0
+        self.assert_exact(bmath.log, math.log, xs)
+
+    def test_mutating_the_input_forces_a_recompute(self):
+        xs = np.linspace(0.5, 3.0, 7)
+        self.assert_exact(bmath.exp, math.exp, xs)
+        xs[3] = 10.0
+        self.assert_exact(bmath.exp, math.exp, xs)
+        xs[3] = -0.0
+        self.assert_exact(bmath.exp, math.exp, xs)
+
+    def test_more_distinct_inputs_than_entries_stay_exact(self):
+        rng = np.random.default_rng(8)
+        inputs = [rng.random(9) + 0.1 for _ in range(3 * bmath._MEMO_ENTRIES)]
+        for _ in range(3):
+            for xs in inputs:
+                self.assert_exact(bmath.log, math.log, xs)
+                self.assert_exact(bmath.lgamma, math.lgamma, xs)
+
+    def test_views_and_shapes(self):
+        xs = np.arange(1.0, 13.0).reshape(3, 4)
+        self.assert_exact(bmath.log, math.log, xs[:, 1])  # strided view
+        assert bmath.log(xs).shape == (3, 4)
+        assert bmath.log(xs.ravel()).shape == (12,)  # same bits, new shape
+        assert bmath.exp(np.array([])).shape == (0,)
+        self.assert_exact(bmath.exp, math.exp, np.array([0.0]))  # after an empty input
+
+    def test_threads_get_exact_results(self):
+        import sys
+        import threading
+
+        errors = []
+
+        def hammer(seed):
+            rng = np.random.default_rng(seed)
+            pool = [rng.normal(size=64) for _ in range(bmath._MEMO_ENTRIES + 2)]
+            try:
+                for i in range(200):
+                    xs = pool[i % len(pool)]
+                    self.assert_exact(bmath.exp, math.exp, xs)
+                    self.assert_exact(bmath.log1p, math.log1p, np.abs(xs))
+            except AssertionError as error:  # pragma: no cover - failure path
+                errors.append(error)
+
+        threads = [threading.Thread(target=hammer, args=(s,)) for s in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not errors
