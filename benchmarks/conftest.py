@@ -2,7 +2,7 @@
 
 Benchmarks in ``test_bench_smc.py`` report structured measurements
 (per-figure median step latency for the inline loop vs the parallel
-executors, and with the log-prob cache on vs off) through the
+executors, and for the columnar vs the object collection) through the
 ``smc_bench`` fixture; at session end everything recorded is written as
 strict JSON to ``BENCH_smc.json`` in the repository root (override the
 path with the ``BENCH_SMC_OUT`` environment variable).  CI uploads the

@@ -9,7 +9,7 @@ x-axis; the paired accuracy numbers are produced by
 import numpy as np
 import pytest
 
-from repro import CorrespondenceTranslator, WeightedCollection, infer
+from repro import CorrespondenceTranslator, InferenceConfig, WeightedCollection, infer
 from repro.core.mcmc import chain, cycle, independent_mh_site
 from repro.regression import (
     ADDR_INTERCEPT,
@@ -63,7 +63,8 @@ def test_incremental_estimate_no_weights(benchmark, setup, rng, num_traces):
             exact_regression_trace(posterior, rng, p_model) for _ in range(num_traces)
         ]
         step = infer(
-            translator, WeightedCollection.uniform(traces), rng, use_weights=False
+            translator, WeightedCollection.uniform(traces), rng,
+            config=InferenceConfig(use_weights=False)
         )
         return step.collection.estimate(lambda u: u[ADDR_SLOPE])
 

@@ -1,5 +1,5 @@
-"""SMC hot-path benchmarks: executor backends, the log-prob cache, and
-the columnar collection runtime.
+"""SMC hot-path benchmarks: executor backends and the columnar
+collection runtime.
 
 Measures the per-figure median latency of one Algorithm-2 translate
 step (the SMC hot path) under
@@ -7,18 +7,16 @@ step (the SMC hot path) under
 * the legacy inline loop (``executor=None``),
 * the ``serial`` / ``thread`` / ``process`` backends of
   :mod:`repro.parallel`,
-* the reuse-aware log-prob cache on vs off, and
 * ``collection='columnar'`` vs ``collection='object'`` across particle
-  counts (100 to 10k),
+  counts (100 to 10k), the columnar step both on a population converted
+  once up front and including the per-step
+  ``ColumnarCollection.from_weighted`` conversion,
 
 and records every measurement through the ``smc_bench`` fixture so the
-session writes ``BENCH_smc.json`` (see ``conftest.py``).  Three guards
-ride along: the fig8-style workload must keep a cache hit rate of at
-least 50% when the cache is enabled, cache-on posterior estimates must
-match cache-off bitwise (memoization may never change the numbers, only
-the time), and the columnar step must beat the object step by at least
-3x at 1000 particles (the win that justifies the batched Distribution
-API).
+session writes ``BENCH_smc.json`` (see ``conftest.py``).  Two guards
+ride along: the columnar step must beat the object step by at least 3x
+at 1000 particles (the win that justifies the batched Distribution
+API), and its estimates must match the object step's bitwise.
 
 Run with ``pytest benchmarks/test_bench_smc.py -q`` (benchmarks are not
 collected by the default ``testpaths``).
@@ -31,7 +29,7 @@ import numpy as np
 import pytest
 
 from repro import CorrespondenceTranslator, WeightedCollection, infer
-from repro.core import InferenceConfig
+from repro.core import ColumnarCollection, InferenceConfig
 from repro.hmm import (
     encode,
     exact_first_order_trace,
@@ -84,20 +82,19 @@ def fig9_setup():
 
 
 def _median_step_latency(run_step, repetitions=REPETITIONS):
+    """Median wall time of ``run_step`` and the result of every call."""
     times = []
-    result = None
+    results = []
     for _ in range(repetitions):
         start = time.perf_counter()
-        result = run_step()
+        results.append(run_step())
         times.append(time.perf_counter() - start)
-    return float(np.median(times)), result
+    return float(np.median(times)), results
 
 
-def _fig8_step(setup, executor, cache, seed=7):
+def _fig8_step(setup, executor, seed=7):
     p_model, q_model, posterior = setup
-    translator = CorrespondenceTranslator(
-        p_model, q_model, coefficient_correspondence(), log_prob_cache=cache
-    )
+    translator = CorrespondenceTranslator(p_model, q_model, coefficient_correspondence())
     config = InferenceConfig(executor=executor, workers=PARALLEL_WORKERS)
 
     def run_step():
@@ -108,55 +105,23 @@ def _fig8_step(setup, executor, cache, seed=7):
         step = infer(translator, WeightedCollection.uniform(traces), rng, config=config)
         return step.collection.estimate(lambda u: u[ADDR_SLOPE])
 
-    return run_step, translator
+    return run_step
 
 
 @pytest.mark.parametrize("backend", [None, "serial", "thread", "process"])
 def test_fig8_step_latency_by_backend(fig8_setup, smc_bench, backend):
-    run_step, _ = _fig8_step(fig8_setup, backend, cache=True)
-    median, estimate = _median_step_latency(run_step)
+    run_step = _fig8_step(fig8_setup, backend)
+    median, estimates = _median_step_latency(run_step)
     smc_bench(
         {
             "figure": "fig8",
             "series": f"executor={backend or 'inline'}",
             "workers": 1 if backend in (None, "serial") else PARALLEL_WORKERS,
-            "cache": True,
             "num_particles": NUM_TRACES,
             "median_step_latency_s": median,
         }
     )
-    assert -2.0 < estimate < 0.5
-
-
-@pytest.mark.parametrize("cache", [True, False])
-def test_fig8_step_latency_by_cache(fig8_setup, smc_bench, cache):
-    run_step, translator = _fig8_step(fig8_setup, None, cache=cache)
-    median, _ = _median_step_latency(run_step)
-    info = translator.cache_info()
-    smc_bench(
-        {
-            "figure": "fig8",
-            "series": f"cache={'on' if cache else 'off'}",
-            "workers": 1,
-            "cache": cache,
-            "num_particles": NUM_TRACES,
-            "median_step_latency_s": median,
-            "cache_hit_rate": None if info is None else info["hit_rate"],
-        }
-    )
-    if cache:
-        assert info is not None and info["hit_rate"] >= 0.5, (
-            f"fig8 cache hit rate {info} below the 50% floor"
-        )
-
-
-def test_fig8_cache_preserves_posterior_estimates(fig8_setup):
-    """Gate: memoized densities are bitwise identical to recomputation."""
-    run_on, _ = _fig8_step(fig8_setup, None, cache=True)
-    run_off, _ = _fig8_step(fig8_setup, None, cache=False)
-    estimate_on = run_on()
-    estimate_off = run_off()
-    assert estimate_on == estimate_off
+    assert -2.0 < estimates[-1] < 0.5
 
 
 #: Particle counts for the columnar scaling series.  The object path is
@@ -187,22 +152,39 @@ def fig8_populations(fig8_setup):
     return populations
 
 
-def _fig8_collection_step(setup, populations, mode, num_particles):
+def _fig8_collection_step(setup, populations, mode, num_particles, converted=False):
+    """One timed fig8 step.  With ``converted`` the population is
+    columnarized once here, outside the timed region, and every call
+    steps that same collection (so repeated calls must agree exactly);
+    otherwise each call steps a copy of the object population, and a
+    columnar step pays ``ColumnarCollection.from_weighted`` inside it."""
     p_model, q_model, _posterior = setup
     translator = CorrespondenceTranslator(
         p_model, q_model, coefficient_correspondence()
     )
     config = InferenceConfig(collection=mode)
     population = populations[num_particles]
+    columnar = ColumnarCollection.from_weighted(population) if converted else None
 
     def run_step():
-        step = infer(
-            translator, population.copy(), np.random.default_rng(7), config=config
-        )
+        source = columnar if converted else population.copy()
+        step = infer(translator, source, np.random.default_rng(7), config=config)
         assert step.stats.collection_mode == mode
         return step.collection.estimate(lambda u: u[ADDR_SLOPE])
 
     return run_step
+
+
+#: The scaling series: (series name, collection mode, converted up front).
+#: ``collection=columnar`` is the step cost alone;
+#: ``collection=columnar+from_weighted`` adds the object-to-columnar
+#: conversion a population built as object traces pays on its first
+#: columnar step.
+SCALING_SERIES = [
+    ("collection=columnar", "columnar", True),
+    ("collection=columnar+from_weighted", "columnar", False),
+    ("collection=object", "object", False),
+]
 
 
 @pytest.mark.parametrize("num_particles", COLUMNAR_SCALING)
@@ -210,24 +192,26 @@ def test_fig8_columnar_particle_scaling(
     fig8_setup, fig8_populations, smc_bench, num_particles
 ):
     repetitions = 3 if num_particles >= 10_000 else REPETITIONS
-    for mode in ("columnar", "object"):
+    for series, mode, converted in SCALING_SERIES:
         if mode == "object" and num_particles > OBJECT_SCALING_CAP:
             continue
         run_step = _fig8_collection_step(
-            fig8_setup, fig8_populations, mode, num_particles
+            fig8_setup, fig8_populations, mode, num_particles, converted
         )
-        median, estimate = _median_step_latency(run_step, repetitions=repetitions)
+        median, estimates = _median_step_latency(run_step, repetitions=repetitions)
         smc_bench(
             {
                 "figure": "fig8",
-                "series": f"collection={mode}",
+                "series": series,
                 "workers": 1,
-                "cache": False,
                 "num_particles": num_particles,
                 "median_step_latency_s": median,
             }
         )
-        assert -2.0 < estimate < 0.5
+        assert -2.0 < estimates[-1] < 0.5
+        # Same input and seed every call: a step that mutated its input
+        # collection would drift between repetitions.
+        assert estimates == [estimates[0]] * repetitions, (series, estimates)
 
 
 def test_fig8_columnar_speedup_gate(fig8_setup, fig8_populations, smc_bench):
@@ -243,7 +227,6 @@ def test_fig8_columnar_speedup_gate(fig8_setup, fig8_populations, smc_bench):
             "figure": "fig8",
             "series": "columnar-speedup-gate",
             "workers": 1,
-            "cache": False,
             "num_particles": 1000,
             "median_step_latency_s": medians["columnar"],
             "object_median_step_latency_s": medians["object"],
@@ -295,7 +278,6 @@ def test_fig9_step_latency_by_backend(fig9_setup, smc_bench, backend):
             "figure": "fig9",
             "series": f"executor={backend or 'inline'}",
             "workers": 1 if backend is None else PARALLEL_WORKERS,
-            "cache": True,
             "num_particles": 30,
             "median_step_latency_s": median,
         }

@@ -62,7 +62,6 @@ from .core import (
     FaultPolicy,
     ImpossibleConstraintError,
     InferenceConfig,
-    LogProbCache,
     Kernel,
     MissingChoiceError,
     Model,
@@ -102,7 +101,6 @@ __all__ = [
     "FaultPolicy",
     "ImpossibleConstraintError",
     "InferenceConfig",
-    "LogProbCache",
     "Kernel",
     "MissingChoiceError",
     "Model",

@@ -132,16 +132,6 @@ def lint_config(
 
     # -- columnar runtime ---------------------------------------------------
     if config.collection == "columnar":
-        if translator is not None and getattr(translator, "cache", None) is not None:
-            finding(
-                "warning",
-                "collection='columnar' re-scores reused choices with one "
-                "batched log_prob_batch call per address, so the "
-                "translator's log-prob cache is redundant on every "
-                "columnar step (it only costs hashing on spilled steps); "
-                "drop log_prob_cache=True or use collection='object'",
-                "config-columnar-cache",
-            )
         if _is_process_executor(config.executor):
             finding(
                 "warning",

@@ -34,7 +34,7 @@ from .annealing import (
     sequential_observations,
 )
 from .correspondence import Correspondence
-from .corr_translator import CorrespondenceTranslator, LogProbCache, ProposalFn, ProposalMap
+from .corr_translator import CorrespondenceTranslator, ProposalFn, ProposalMap
 from .enumerate import (
     enumerate_traces,
     exact_choice_marginal,
@@ -102,7 +102,6 @@ __all__ = [
     "sequential_observations",
     "Correspondence",
     "CorrespondenceTranslator",
-    "LogProbCache",
     "ProposalFn",
     "ProposalMap",
     "enumerate_traces",

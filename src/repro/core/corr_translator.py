@@ -38,113 +38,13 @@ from .address import Address, normalize_address
 from .correspondence import Correspondence
 from .handlers import MissingChoiceError, TraceHandler
 from .model import Model
-from .trace import ChoiceMap, ChoiceRecord, Trace
+from .trace import ChoiceMap, Trace
 from .translator import TraceTranslator, TranslationResult
 
-__all__ = ["CorrespondenceTranslator", "LogProbCache", "ProposalFn", "ProposalMap"]
+__all__ = ["CorrespondenceTranslator", "ProposalFn", "ProposalMap"]
 
 NEG_INF = float("-inf")
 
-
-class LogProbCache:
-    """Reuse-aware memo table for ``dist.log_prob(value)`` evaluations.
-
-    Keys are ``(address, dist, value)`` — the distribution is a frozen
-    value object, so the key pins down the exact density parameters —
-    and the stored float is whatever ``log_prob`` returned, so a cache
-    hit is bitwise identical to recomputation.  The dominant hit source
-    during translation is re-scoring: the backward kernel replays the
-    source program over choices and observations whose ``(address,
-    dist, value)`` triples already appear verbatim in the source trace,
-    so :meth:`seed_trace` pre-populates the table from the trace's
-    records before any kernel runs.
-
-    ``reuse_hits`` counts the even cheaper path: corresponding forward
-    choices whose distribution is unchanged copy ``log_prob`` straight
-    off the old record, never touching the table.
-
-    Entries whose key is unhashable (e.g. an array-valued observation)
-    are scored directly and counted as misses.  When the table exceeds
-    ``max_entries`` it is cleared wholesale — entries are deterministic
-    pure values, so eviction can never change a result, only a hit rate.
-    """
-
-    __slots__ = ("_entries", "max_entries", "hits", "misses", "reuse_hits")
-
-    def __init__(self, max_entries: int = 65536):
-        if max_entries < 1:
-            raise ValueError(f"max_entries must be >= 1, got {max_entries!r}")
-        self._entries: Dict[Any, float] = {}
-        self.max_entries = max_entries
-        self.hits = 0
-        self.misses = 0
-        self.reuse_hits = 0
-
-    def score(self, address: Address, dist: Distribution, value: Any) -> float:
-        """Memoized ``dist.log_prob(value)``."""
-        key = (address, dist, value)
-        try:
-            cached = self._entries.get(key)
-        except TypeError:  # unhashable value: score directly
-            self.misses += 1
-            return dist.log_prob(value)
-        if cached is not None:
-            self.hits += 1
-            return cached
-        self.misses += 1
-        log_prob = dist.log_prob(value)
-        if len(self._entries) >= self.max_entries:
-            self._entries.clear()
-        self._entries[key] = log_prob
-        return log_prob
-
-    def seed_trace(self, trace: Trace) -> None:
-        """Pre-populate from a trace's choice and observation records.
-
-        Seeding is what turns the backward kernel's replay of the source
-        program into cache hits: every record already carries the
-        ``log_prob`` of exactly the ``(address, dist, value)`` triple the
-        replay will ask for.  Seeded entries are not counted as hits or
-        misses; only lookups are.
-        """
-        entries = self._entries
-        if len(entries) >= self.max_entries:
-            entries.clear()
-        for record in (*trace.choices(), *trace.observations()):
-            if not record.dist.cacheable_log_prob:
-                continue
-            try:
-                entries[(record.address, record.dist, record.value)] = record.log_prob
-            except TypeError:
-                continue
-
-    def clear(self) -> None:
-        self._entries.clear()
-
-    @property
-    def total_hits(self) -> int:
-        return self.hits + self.reuse_hits
-
-    def hit_rate(self) -> float:
-        """Hits (table + record reuse) over all scoring decisions."""
-        total = self.total_hits + self.misses
-        return self.total_hits / total if total else 0.0
-
-    def cache_info(self) -> Dict[str, Any]:
-        return {
-            "hits": self.hits,
-            "reuse_hits": self.reuse_hits,
-            "misses": self.misses,
-            "hit_rate": self.hit_rate(),
-            "entries": len(self._entries),
-            "max_entries": self.max_entries,
-        }
-
-    def __repr__(self) -> str:
-        return (
-            f"LogProbCache(hits={self.hits}, reuse_hits={self.reuse_hits}, "
-            f"misses={self.misses}, entries={len(self._entries)})"
-        )
 
 #: A proposal factory: given the partially built trace and the choice's
 #: prior distribution, return the distribution to sample/score from.
@@ -197,20 +97,6 @@ class _ForwardTranslationHandler(TraceHandler):
             old_record = self._source_trace.get_record(source_address)
             if dist.support() == old_record.dist.support():
                 self.reused[address] = source_address
-                cache = self.log_prob_cache
-                if (
-                    cache is not None
-                    and dist.cacheable_log_prob
-                    and dist == old_record.dist
-                ):
-                    # Reuse-aware fast path: the old record already scored
-                    # exactly this (dist, value) pair, so copy its log_prob
-                    # instead of re-evaluating the density.
-                    cache.reuse_hits += 1
-                    self.trace.add_choice(
-                        ChoiceRecord(address, dist, old_record.value, old_record.log_prob)
-                    )
-                    return old_record.value
                 return self._record_choice(dist, address, old_record.value)
 
         proposal_fn = self._proposals.get(address)
@@ -295,23 +181,6 @@ class CorrespondenceTranslator(TraceTranslator[Trace]):
     backward_proposals:
         The analogous proposals for the backward kernel's regeneration
         of choices of ``P``.
-    log_prob_cache:
-        When True, density evaluations are memoized through a
-        :class:`LogProbCache` shared by both kernels and seeded from the
-        source trace's records, so re-scoring unchanged choices and
-        observations costs a dict lookup instead of a density
-        evaluation.  Cached values are bitwise identical to
-        recomputation, so results never change; distributions flagged
-        ``cacheable_log_prob = False`` bypass the cache entirely.
-        **Off by default**: benchmarking showed the cache *slows down*
-        the cheap densities this repo ships (fig8 at 100 particles:
-        0.52s/step with the cache on at a 90% hit rate vs 0.42s off —
-        the tuple-key hashing costs more than re-evaluating a Gaussian
-        density; see ``docs/performance.md``).  Opt in for genuinely
-        expensive ``log_prob`` implementations.
-    cache_max_entries:
-        Table size bound; on overflow the table is cleared (never a
-        correctness event, see :class:`LogProbCache`).
     """
 
     def __init__(
@@ -321,15 +190,12 @@ class CorrespondenceTranslator(TraceTranslator[Trace]):
         correspondence: Correspondence,
         forward_proposals: Optional[ProposalMap] = None,
         backward_proposals: Optional[ProposalMap] = None,
-        log_prob_cache: bool = False,
-        cache_max_entries: int = 65536,
     ):
         self._source = source
         self._target = target
         self.correspondence = correspondence
         self.forward_proposals = _normalize_proposals(forward_proposals)
         self.backward_proposals = _normalize_proposals(backward_proposals)
-        self._cache = LogProbCache(cache_max_entries) if log_prob_cache else None
         #: The :class:`~repro.derive.report.DerivationReport` behind this
         #: translator's correspondence, when it was derived rather than
         #: hand-written (see :meth:`from_derived`); None otherwise.
@@ -338,8 +204,6 @@ class CorrespondenceTranslator(TraceTranslator[Trace]):
         # alongside the sinks in bind_observability.
         self._reused_counter = None
         self._fresh_counter = None
-        self._cache_hit_counter = None
-        self._cache_miss_counter = None
 
     @classmethod
     def from_derived(
@@ -360,7 +224,7 @@ class CorrespondenceTranslator(TraceTranslator[Trace]):
         ``rng``/``num_samples``/``observations`` configure the
         derivation (profiling is deterministic when ``rng`` is omitted);
         remaining keyword arguments (``forward_proposals``,
-        ``log_prob_cache``, ...) pass through to the constructor.
+        ``backward_proposals``) pass through to the constructor.
         Imported lazily so constructing hand-written translators never
         touches the derive subsystem.
         """
@@ -379,22 +243,9 @@ class CorrespondenceTranslator(TraceTranslator[Trace]):
         if metrics.enabled:
             self._reused_counter = metrics.counter("translate.choices_reused")
             self._fresh_counter = metrics.counter("translate.choices_fresh")
-            self._cache_hit_counter = metrics.counter("translate.cache.hits")
-            self._cache_miss_counter = metrics.counter("translate.cache.misses")
         else:
             self._reused_counter = None
             self._fresh_counter = None
-            self._cache_hit_counter = None
-            self._cache_miss_counter = None
-
-    @property
-    def cache(self) -> Optional[LogProbCache]:
-        """The live log-prob cache, or None when caching is disabled."""
-        return self._cache
-
-    def cache_info(self) -> Optional[Dict[str, Any]]:
-        """Hit/miss statistics of the log-prob cache (None if disabled)."""
-        return self._cache.cache_info() if self._cache is not None else None
 
     @property
     def source(self) -> Model:
@@ -434,13 +285,6 @@ class CorrespondenceTranslator(TraceTranslator[Trace]):
         """
         tracer = self.tracer
         trace_on = tracer.enabled
-        cache = self._cache
-        if cache is not None:
-            hits_before = cache.total_hits
-            misses_before = cache.misses
-            # Seed from the input trace: the backward kernel will re-score
-            # exactly these (address, dist, value) records.
-            cache.seed_trace(trace)
         forward = _ForwardTranslationHandler(
             rng,
             self._target.observations,
@@ -448,7 +292,6 @@ class CorrespondenceTranslator(TraceTranslator[Trace]):
             trace,
             self.forward_proposals,
         )
-        forward.log_prob_cache = cache
         if trace_on:
             with tracer.span("translate.forward"):
                 target_trace = _run_kernel_program(self._target, forward, "forward kernel")
@@ -462,7 +305,6 @@ class CorrespondenceTranslator(TraceTranslator[Trace]):
             target_trace,
             self.backward_proposals,
         )
-        backward.log_prob_cache = cache
         if trace_on:
             with tracer.span("translate.backward"):
                 replayed_source = _run_kernel_program(
@@ -477,15 +319,9 @@ class CorrespondenceTranslator(TraceTranslator[Trace]):
             if open_span is not None:
                 open_span.count("choices.reused", len(forward.reused))
                 open_span.count("choices.fresh", forward.sampled_fresh)
-                if cache is not None:
-                    open_span.count("cache.hits", cache.total_hits - hits_before)
-                    open_span.count("cache.misses", cache.misses - misses_before)
         if self._reused_counter is not None:
             self._reused_counter.inc(len(forward.reused))
             self._fresh_counter.inc(forward.sampled_fresh)
-        if cache is not None and self._cache_hit_counter is not None:
-            self._cache_hit_counter.inc(cache.total_hits - hits_before)
-            self._cache_miss_counter.inc(cache.misses - misses_before)
 
         components = {
             "target_log_prob": target_trace.log_prob,
@@ -517,10 +353,6 @@ class CorrespondenceTranslator(TraceTranslator[Trace]):
             self.correspondence.inverse(),
             forward_proposals=self.backward_proposals,
             backward_proposals=self.forward_proposals,
-            log_prob_cache=self._cache is not None,
-            cache_max_entries=(
-                self._cache.max_entries if self._cache is not None else 65536
-            ),
         )
 
 

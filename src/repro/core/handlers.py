@@ -64,13 +64,6 @@ class TraceHandler(ABC):
     a likelihood factor (the ``observe(R == E)`` statement of Section 3).
     """
 
-    #: Optional :class:`repro.core.corr_translator.LogProbCache`
-    #: consulted by the scoring helpers below.  Class-level ``None`` so
-    #: ordinary handlers pay one attribute test and nothing else; the
-    #: correspondence translator assigns its cache onto the kernel
-    #: handlers it builds.
-    log_prob_cache = None
-
     def __init__(self) -> None:
         self.trace = Trace()
 
@@ -78,28 +71,16 @@ class TraceHandler(ABC):
     def sample(self, dist: Distribution, address) -> Any:
         """Record a random choice at ``address`` and return its value."""
 
-    def _score_log_prob(self, dist: Distribution, address: Address, value: Any) -> float:
-        """``dist.log_prob(value)``, memoized through the attached cache.
-
-        Distributions whose scoring is not a pure function
-        (``cacheable_log_prob = False``) are always evaluated directly so
-        their side effects are never elided.
-        """
-        cache = self.log_prob_cache
-        if cache is not None and dist.cacheable_log_prob:
-            return cache.score(address, dist, value)
-        return dist.log_prob(value)
-
     def observe(self, dist: Distribution, value: Any, address) -> None:
         """Record an observation that ``dist`` produced ``value``."""
         address = normalize_address(address)
-        log_prob = self._score_log_prob(dist, address, value)
+        log_prob = dist.log_prob(value)
         self.trace.add_observation(ObservationRecord(address, dist, value, log_prob))
 
     # -- helpers shared by subclasses --------------------------------------
 
     def _record_choice(self, dist: Distribution, address: Address, value: Any) -> Any:
-        record = ChoiceRecord(address, dist, value, self._score_log_prob(dist, address, value))
+        record = ChoiceRecord(address, dist, value, dist.log_prob(value))
         self.trace.add_choice(record)
         return value
 
@@ -110,7 +91,7 @@ class TraceHandler(ABC):
         external constraints on addresses (Section 7.1); such a choice is
         recorded as an observation rather than a latent choice.
         """
-        log_prob = self._score_log_prob(dist, address, value)
+        log_prob = dist.log_prob(value)
         self.trace.add_observation(ObservationRecord(address, dist, value, log_prob))
         return value
 

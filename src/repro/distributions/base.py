@@ -145,15 +145,6 @@ class Distribution(ABC):
     deciding whether a weight factor cancels.
     """
 
-    #: Whether ``log_prob`` is a pure function of ``(self, value)``, so
-    #: its results may be memoized by the translator's log-prob cache
-    #: (:mod:`repro.core.corr_translator`).  True for every honest
-    #: distribution; wrappers with stateful scoring (e.g. the chaos
-    #: harness's :class:`repro.testing.faults.FaultyDistribution`, whose
-    #: ``log_prob`` consumes injector decisions) must set it to False so
-    #: caching never elides their side effects.
-    cacheable_log_prob: bool = True
-
     @abstractmethod
     def sample(self, rng: np.random.Generator) -> Any:
         """Draw a value using ``rng``."""

@@ -69,10 +69,6 @@ class Fig8Config:
     #: repro.parallel) and its worker count.
     executor: Optional[str] = None
     workers: Optional[int] = None
-    #: Memoize density evaluations in the translator.  Off by default:
-    #: the cache costs more than these Gaussian densities save (see
-    #: docs/performance.md); True for the cache-ablation series.
-    log_prob_cache: bool = False
     #: Particle-population representation: "object" (one Trace per
     #: particle) or "columnar" (address-major arrays, vectorized step).
     collection: str = "object"
@@ -135,12 +131,7 @@ def run_fig8(
     p_model = no_outlier_model(config.p_params, data.xs, data.ys)
     q_model = outlier_model(config.q_params, data.xs, data.ys)
     posterior = conjugate_posterior(config.p_params, data.xs, data.ys)
-    translator = CorrespondenceTranslator(
-        p_model,
-        q_model,
-        coefficient_correspondence(),
-        log_prob_cache=config.log_prob_cache,
-    )
+    translator = CorrespondenceTranslator(p_model, q_model, coefficient_correspondence())
 
     gold = gold_standard_slope(q_model, config.q_params, posterior, rng, config.gold_iterations)
     rows: List[Row] = []

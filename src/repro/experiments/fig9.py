@@ -60,9 +60,6 @@ class Fig9Config:
     #: inline loop) and its worker count; see repro.parallel.
     executor: Optional[str] = None
     workers: Optional[int] = None
-    #: Memoize density evaluations in the per-word translators (off by
-    #: default; see docs/performance.md).
-    log_prob_cache: bool = False
 
 
 @dataclass
@@ -83,14 +80,11 @@ def _per_word_incremental(
     rejuvenation_sweeps=0,
     inference=None,
     tracer=None,
-    log_prob_cache=False,
 ):
     observations = encode(typed)
     p_model = first_order_model(p_params, observations)
     q_model = second_order_model(q_params, observations)
-    translator = CorrespondenceTranslator(
-        p_model, q_model, hidden_state_correspondence(), log_prob_cache=log_prob_cache
-    )
+    translator = CorrespondenceTranslator(p_model, q_model, hidden_state_correspondence())
     kernel = None
     if rejuvenation_sweeps > 0:
         addresses = [("hidden", i) for i in range(len(observations))]
@@ -180,7 +174,6 @@ def run_fig9(
                     sweeps,
                     inference=inference,
                     tracer=tracer,
-                    log_prob_cache=config.log_prob_cache,
                 )
                 accuracies.append(
                     ground_truth_posterior_probability(collection, encode(truth))

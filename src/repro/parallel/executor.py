@@ -12,7 +12,7 @@ running that map:
   contiguous particle chunks.  Translation is pure Python, so threads
   mostly help workloads that release the GIL (numpy-heavy models) or
   that block; each chunk gets a private ``copy.deepcopy`` of the
-  translator so stateful wrappers (fault injectors, log-prob caches)
+  translator so stateful wrappers (fault injectors)
   see the same isolation semantics as process workers.
 * ``process`` — a :class:`~concurrent.futures.ProcessPoolExecutor` over
   chunked particle batches.  The translator, fault policy, and particle

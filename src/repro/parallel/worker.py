@@ -13,7 +13,7 @@ ran the chunk.
 :func:`chunk_entry` is the picklable top-level entry point submitted to
 :class:`concurrent.futures.ProcessPoolExecutor`; the thread backend uses
 :func:`translate_chunk_isolated`, which first deep-copies the translator
-so stateful wrappers (chaos injectors, log-prob caches) get the same
+so stateful wrappers (chaos injectors) get the same
 chunk-private isolation that process workers get from pickling.
 
 Chaos alignment: translators that expose a ``sync_calls(index)`` method
@@ -104,7 +104,7 @@ def translate_chunk_isolated(
 
     The copy gives each chunk private translator state — mirroring the
     pickling isolation of process workers — so concurrent chunks never
-    race on injector streams or log-prob caches.  A ``regenerate_fn``
+    race on injector streams.  A ``regenerate_fn``
     that is a bound method of the original translator is re-bound to the
     copy, again matching what pickling does.
     """

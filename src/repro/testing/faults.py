@@ -238,14 +238,7 @@ class FaultyDistribution(Distribution):
     ``sample``, which has no failure value of that shape).  Equality and
     support delegate to the inner distribution so reuse decisions are
     unaffected.
-
-    ``log_prob`` consumes injector decisions, so it is *not* a pure
-    function of ``(self, value)``: ``cacheable_log_prob`` is False so
-    the translator's log-prob cache never elides a call (which would
-    silently shift the fault schedule).
     """
-
-    cacheable_log_prob = False
 
     def __init__(self, inner: Distribution, injector: FaultInjector):
         self.inner = inner

@@ -18,6 +18,7 @@ from repro import (
     CorrespondenceTranslator,
     DegeneracyError,
     FaultPolicy,
+    InferenceConfig,
     MissingChoiceError,
     Model,
     NumericalError,
@@ -80,7 +81,7 @@ class TestFailFast:
         faulty = FaultyTranslator(burglary_translator, injector)
         collection = posterior_input(burglary_original, rng, 20)
         with pytest.raises(MissingChoiceError) as excinfo:
-            infer(faulty, collection, rng, fault_policy="fail_fast")
+            infer(faulty, collection, rng, config=InferenceConfig(fault_policy="fail_fast"))
         assert type(excinfo.value) is MissingChoiceError
 
     def test_fail_fast_is_the_default(self, burglary_translator, burglary_original, rng):
@@ -95,11 +96,13 @@ class TestFailFast:
         faulty = FaultyTranslator(burglary_translator, injector)
         collection = posterior_input(burglary_original, rng, 5)
         with pytest.raises(NumericalError):
-            infer(faulty, collection, rng, fault_policy="fail_fast")
+            infer(faulty, collection, rng, config=InferenceConfig(fault_policy="fail_fast"))
 
     def test_no_faults_means_zero_counters(self, burglary_translator, burglary_original, rng):
         collection = posterior_input(burglary_original, rng, 50)
-        step = infer(burglary_translator, collection, rng, fault_policy="drop")
+        step = infer(
+            burglary_translator, collection, rng, config=InferenceConfig(fault_policy="drop")
+        )
         stats = step.stats
         assert (stats.failed, stats.dropped, stats.regenerated, stats.retried) == (0, 0, 0, 0)
         assert stats.total_faults == 0
@@ -112,7 +115,9 @@ class TestDropPolicy:
         injector = FaultInjector(seed=7, error_rate=0.2)
         faulty = [FaultyTranslator(t, injector) for t in translators]
         initial = posterior_input(translators[0].source, rng, 400)
-        steps = infer_sequence(faulty, initial, rng, resample="adaptive", fault_policy="drop")
+        steps = infer_sequence(
+            faulty, initial, rng, config=InferenceConfig(resample="adaptive", fault_policy="drop")
+        )
         assert len(steps) == 3
         assert injector.injected["error"] > 0
 
@@ -123,7 +128,9 @@ class TestDropPolicy:
         injector = FaultInjector(seed=3, error_rate=0.2, nan_rate=0.05)
         faulty = [FaultyTranslator(t, injector) for t in translators]
         initial = posterior_input(translators[0].source, rng, 300)
-        steps = infer_sequence(faulty, initial, rng, resample="never", fault_policy="drop")
+        steps = infer_sequence(
+            faulty, initial, rng, config=InferenceConfig(resample="never", fault_policy="drop")
+        )
         total_failed = sum(s.stats.failed for s in steps)
         total_dropped = sum(s.stats.dropped for s in steps)
         # Under drop there are no retries: one translate call per particle,
@@ -137,7 +144,7 @@ class TestDropPolicy:
         injector = FaultInjector(at_calls={1: "error", 3: "error"})
         faulty = FaultyTranslator(burglary_translator, injector)
         collection = posterior_input(burglary_original, rng, 6)
-        step = infer(faulty, collection, rng, fault_policy="drop")
+        step = infer(faulty, collection, rng, config=InferenceConfig(fault_policy="drop"))
         assert step.stats.dropped == 2
         assert sum(1 for w in step.collection.log_weights if w == NEG_INF) == 2
 
@@ -147,7 +154,7 @@ class TestDropPolicy:
         injector = FaultInjector(seed=11, error_rate=0.2)
         faulty = FaultyTranslator(burglary_translator, injector)
         collection = posterior_input(burglary_original, rng, 8000)
-        step = infer(faulty, collection, rng, fault_policy="drop")
+        step = infer(faulty, collection, rng, config=InferenceConfig(fault_policy="drop"))
         truth = exact_choice_marginal(burglary_refined, "burglary")[1]
         estimate = step.collection.estimate_probability(lambda u: u["burglary"] == 1)
         assert estimate == pytest.approx(truth, abs=0.03)
@@ -158,7 +165,7 @@ class TestDropPolicy:
         injector = FaultInjector(at_calls={0: "neg_inf"})
         faulty = FaultyTranslator(burglary_translator, injector)
         collection = posterior_input(burglary_original, rng, 4)
-        step = infer(faulty, collection, rng, fault_policy="drop")
+        step = infer(faulty, collection, rng, config=InferenceConfig(fault_policy="drop"))
         assert step.stats.failed == 0
         assert step.collection.log_weights[0] == NEG_INF
 
@@ -167,7 +174,7 @@ class TestDropPolicy:
         faulty = FaultyTranslator(burglary_translator, injector)
         collection = posterior_input(burglary_original, rng, 8)
         with pytest.raises(DegeneracyError) as excinfo:
-            infer(faulty, collection, rng, fault_policy="drop")
+            infer(faulty, collection, rng, config=InferenceConfig(fault_policy="drop"))
         assert isinstance(excinfo.value, ValueError)  # backwards compatible
         assert excinfo.value.num_particles == 8
 
@@ -178,7 +185,9 @@ class TestDropPolicy:
         faulty = [FaultyTranslator(t, injector) for t in translators]
         initial = posterior_input(translators[0].source, rng, 10)
         with pytest.raises(DegeneracyError) as excinfo:
-            infer_sequence(faulty, initial, rng, resample="never", fault_policy="drop")
+            infer_sequence(
+                faulty, initial, rng, config=InferenceConfig(resample="never", fault_policy="drop")
+            )
         assert excinfo.value.step == 1
         assert "step 1" in str(excinfo.value)
 
@@ -190,7 +199,9 @@ class TestRegeneratePolicy:
         faulty = [FaultyTranslator(t, injector) for t in translators]
         initial = posterior_input(translators[0].source, rng, 400)
         policy = FaultPolicy(mode="regenerate", max_retries=2)
-        steps = infer_sequence(faulty, initial, rng, resample="adaptive", fault_policy=policy)
+        steps = infer_sequence(
+            faulty, initial, rng, config=InferenceConfig(resample="adaptive", fault_policy=policy)
+        )
         assert len(steps) == 3
         assert sum(s.stats.failed for s in steps) > 0
 
@@ -201,7 +212,7 @@ class TestRegeneratePolicy:
         faulty = FaultyTranslator(burglary_translator, injector)
         collection = posterior_input(burglary_original, rng, 8000)
         policy = FaultPolicy(mode="regenerate", max_retries=2)
-        step = infer(faulty, collection, rng, fault_policy=policy)
+        step = infer(faulty, collection, rng, config=InferenceConfig(fault_policy=policy))
         truth = exact_choice_marginal(burglary_refined, "burglary")[1]
         estimate = step.collection.estimate_probability(lambda u: u["burglary"] == 1)
         assert estimate == pytest.approx(truth, abs=0.03)
@@ -214,7 +225,7 @@ class TestRegeneratePolicy:
         faulty = FaultyTranslator(burglary_translator, injector)
         collection = posterior_input(burglary_original, rng, 8000)
         policy = FaultPolicy(mode="regenerate", max_retries=0)
-        step = infer(faulty, collection, rng, fault_policy=policy)
+        step = infer(faulty, collection, rng, config=InferenceConfig(fault_policy=policy))
         assert step.stats.regenerated > 0.2 * len(collection)
         truth = exact_choice_marginal(burglary_refined, "burglary")[1]
         estimate = step.collection.estimate_probability(lambda u: u["burglary"] == 1)
@@ -227,7 +238,7 @@ class TestRegeneratePolicy:
         faulty = FaultyTranslator(burglary_translator, injector)
         collection = posterior_input(burglary_original, rng, 4)
         policy = FaultPolicy(mode="regenerate", max_retries=2)
-        step = infer(faulty, collection, rng, fault_policy=policy)
+        step = infer(faulty, collection, rng, config=InferenceConfig(fault_policy=policy))
         stats = step.stats
         assert (stats.failed, stats.retried) == (1, 1)
         assert (stats.dropped, stats.regenerated) == (0, 0)
@@ -239,7 +250,7 @@ class TestRegeneratePolicy:
         faulty = FaultyTranslator(burglary_translator, injector)
         collection = posterior_input(burglary_original, rng, 4)
         policy = FaultPolicy(mode="regenerate", max_retries=1)
-        step = infer(faulty, collection, rng, fault_policy=policy)
+        step = infer(faulty, collection, rng, config=InferenceConfig(fault_policy=policy))
         stats = step.stats
         assert (stats.failed, stats.retried, stats.regenerated) == (2, 1, 1)
         assert math.isfinite(step.collection.log_weights[0])
@@ -257,13 +268,15 @@ class TestRegeneratePolicy:
 
         collection = WeightedCollection(["t"], [0.0])
         with pytest.raises(ValueError, match="regenerate"):
-            infer(BareTranslator(), collection, rng, fault_policy="regenerate")
+            infer(
+                BareTranslator(), collection, rng, config=InferenceConfig(fault_policy="regenerate")
+            )
 
     def test_counters_render_in_stats_string(self, burglary_translator, burglary_original, rng):
         injector = FaultInjector(at_calls={0: "error"})
         faulty = FaultyTranslator(burglary_translator, injector)
         collection = posterior_input(burglary_original, rng, 4)
-        step = infer(faulty, collection, rng, fault_policy="drop")
+        step = infer(faulty, collection, rng, config=InferenceConfig(fault_policy="drop"))
         assert "faults[failed=1" in str(step.stats)
 
 
@@ -278,7 +291,7 @@ class TestMCMCFaultIsolation:
         initial = posterior_input(models[0], rng, 200)
         steps = infer_sequence(
             translators, initial, rng, mcmc_kernels=kernels,
-            resample="always", fault_policy="drop",
+            config=InferenceConfig(resample="always", fault_policy="drop"),
         )
         assert len(steps) == 3
         assert sum(s.stats.mcmc_failed for s in steps) == kernel_injector.total_injected()
@@ -309,25 +322,34 @@ class TestParameterValidation:
         collection = WeightedCollection(["t"], [0.0])
         with pytest.raises(ValueError, match="ess_threshold"):
             infer(untouchable_translator, collection, rng,
-                  resample="adaptive", ess_threshold=threshold)
+                  config=InferenceConfig(resample="adaptive", ess_threshold=threshold))
 
     def test_threshold_of_one_is_allowed(self, burglary_translator, burglary_original, rng):
         collection = posterior_input(burglary_original, rng, 20)
         step = infer(burglary_translator, collection, rng,
-                     resample="adaptive", ess_threshold=1.0)
+                     config=InferenceConfig(resample="adaptive", ess_threshold=1.0))
         assert step.stats.num_traces == 20
 
     def test_bad_scheme_fails_before_translation(self, untouchable_translator, rng):
         collection = WeightedCollection(["t"], [0.0])
         with pytest.raises(ValueError, match="resampling scheme"):
-            infer(untouchable_translator, collection, rng, resampling_scheme="bogus")
+            infer(
+                untouchable_translator, collection, rng,
+                config=InferenceConfig(resampling_scheme="bogus")
+            )
 
     def test_infer_sequence_validates_up_front(self, untouchable_translator, rng):
         collection = WeightedCollection(["t"], [0.0])
         with pytest.raises(ValueError, match="ess_threshold"):
-            infer_sequence([untouchable_translator], collection, rng, ess_threshold=2.0)
+            infer_sequence(
+                [untouchable_translator], collection, rng,
+                config=InferenceConfig(resample="adaptive", ess_threshold=2.0)
+            )
         with pytest.raises(ValueError, match="fault-policy"):
-            infer_sequence([untouchable_translator], collection, rng, fault_policy="sometimes")
+            infer_sequence(
+                [untouchable_translator], collection, rng,
+                config=InferenceConfig(resample="adaptive", fault_policy="sometimes")
+            )
 
     def test_fault_policy_validation(self):
         with pytest.raises(ValueError, match="fault-policy"):

@@ -10,7 +10,6 @@ The two contracts the redesign must not break:
 """
 
 import dataclasses
-import warnings
 
 import numpy as np
 import pytest
@@ -121,76 +120,25 @@ class TestConfigValidation:
 
 
 class TestDeprecationShims:
-    def test_legacy_keyword_warns(self, translator):
-        collection = make_collection(translator)
-        with pytest.warns(DeprecationWarning, match="InferenceConfig"):
-            infer(translator, collection, np.random.default_rng(0), resample="always")
+    """The entry points take inference settings only through ``config``
+    (and fall back to its seed when no rng is given)."""
 
-    def test_legacy_sequence_keyword_warns(self, translator):
+    @pytest.mark.parametrize(
+        "legacy",
+        [
+            {"resample": "always"},
+            {"ess_threshold": 0.25},
+            {"resampling_scheme": "systematic"},
+            {"use_weights": False},
+            {"fault_policy": "drop"},
+        ],
+    )
+    def test_legacy_keyword_raises_type_error(self, translator, legacy):
         collection = make_collection(translator)
-        with pytest.warns(DeprecationWarning, match="InferenceConfig"):
-            infer_sequence(
-                [translator],
-                collection,
-                np.random.default_rng(0),
-                ess_threshold=0.25,
-            )
-
-    def test_config_path_does_not_warn(self, translator):
-        collection = make_collection(translator)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            infer(
-                translator,
-                collection,
-                np.random.default_rng(0),
-                config=InferenceConfig(resample="always"),
-            )
-            infer_sequence(
-                [translator],
-                collection,
-                np.random.default_rng(0),
-                config=InferenceConfig(),
-            )
-
-    def test_legacy_and_config_together_rejected(self, translator):
-        collection = make_collection(translator)
-        with pytest.raises(TypeError, match="config"):
-            infer(
-                translator,
-                collection,
-                np.random.default_rng(0),
-                resample="always",
-                config=InferenceConfig(),
-            )
-
-    def test_legacy_values_still_validated(self, translator):
-        collection = make_collection(translator)
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(ValueError, match="resample"):
-                infer(translator, collection, np.random.default_rng(0), resample="bogus")
-
-    def test_legacy_matches_config_exactly(self, translator):
-        collection = make_collection(translator)
-        with pytest.warns(DeprecationWarning):
-            legacy = infer(
-                translator,
-                collection,
-                np.random.default_rng(42),
-                resample="always",
-                resampling_scheme="systematic",
-            )
-        modern = infer(
-            translator,
-            collection,
-            np.random.default_rng(42),
-            config=InferenceConfig(resample="always", resampling_scheme="systematic"),
-        )
-        assert legacy.stats.ess_before_resample == modern.stats.ess_before_resample
-        assert legacy.collection.log_weights == modern.collection.log_weights
-        assert [t.choices() for t in legacy.collection.items] == [
-            t.choices() for t in modern.collection.items
-        ]
+        with pytest.raises(TypeError, match=next(iter(legacy))):
+            infer(translator, collection, np.random.default_rng(0), **legacy)
+        with pytest.raises(TypeError, match=next(iter(legacy))):
+            infer_sequence([translator], collection, np.random.default_rng(0), **legacy)
 
     def test_rng_falls_back_to_config_seed(self, translator):
         collection = make_collection(translator)

@@ -6,6 +6,7 @@ import pytest
 from repro import (
     Correspondence,
     CorrespondenceTranslator,
+    InferenceConfig,
     Model,
     WeightedCollection,
     exact_choice_marginal,
@@ -62,14 +63,14 @@ class TestInfer:
         """The paper's "Incremental (no weights)" ablation converges to η
         (here: P's posterior pushed through reuse), not Q's posterior."""
         collection = posterior_input(source_model, rng, 8000)
-        step = infer(translator, collection, rng, use_weights=False)
+        step = infer(translator, collection, rng, config=InferenceConfig(use_weights=False))
         truth_p = exact_choice_marginal(source_model, "x")[1]
         estimate = step.collection.estimate_probability(lambda u: u["x"] == 1)
         assert estimate == pytest.approx(truth_p, abs=0.02)
 
     def test_resample_always(self, translator, source_model, rng):
         collection = posterior_input(source_model, rng, 500)
-        step = infer(translator, collection, rng, resample="always")
+        step = infer(translator, collection, rng, config=InferenceConfig(resample="always"))
         assert step.stats.resampled
         assert all(w == 0.0 for w in step.collection.log_weights)
 
@@ -80,13 +81,16 @@ class TestInfer:
             source_model, target, Correspondence.identity(["x"])
         )
         collection = posterior_input(source_model, rng, 400)
-        step = infer(translator, collection, rng, resample="adaptive", ess_threshold=0.9)
+        step = infer(
+            translator, collection, rng,
+            config=InferenceConfig(resample="adaptive", ess_threshold=0.9)
+        )
         assert step.stats.resampled
 
     def test_invalid_resample_policy(self, translator, source_model, rng):
         collection = posterior_input(source_model, rng, 10)
         with pytest.raises(ValueError):
-            infer(translator, collection, rng, resample="sometimes")
+            infer(translator, collection, rng, config=InferenceConfig(resample="sometimes"))
 
     def test_mcmc_rejuvenation_improves_no_correspondence(self, source_model, target_model, rng):
         """With an empty correspondence and Gibbs rejuvenation, the output
@@ -96,7 +100,10 @@ class TestInfer:
         )
         collection = posterior_input(source_model, rng, 4000)
         kernel = gibbs_sweep(target_model, ["x"])
-        step = infer(translator, collection, rng, mcmc_kernel=kernel, resample="always")
+        step = infer(
+            translator, collection, rng, mcmc_kernel=kernel,
+            config=InferenceConfig(resample="always")
+        )
         truth = exact_choice_marginal(target_model, "x")[1]
         estimate = step.collection.estimate_probability(lambda u: u["x"] == 1)
         assert estimate == pytest.approx(truth, abs=0.02)
@@ -121,7 +128,9 @@ class TestInferSequence:
             for i in range(len(models) - 1)
         ]
         initial = posterior_input(models[0], rng, 6000)
-        steps = infer_sequence(translators, initial, rng, resample="adaptive")
+        steps = infer_sequence(
+            translators, initial, rng, config=InferenceConfig(resample="adaptive")
+        )
         assert len(steps) == 3
         final = steps[-1].collection
         truth = exact_choice_marginal(models[-1], "x")[1]

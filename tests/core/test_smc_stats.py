@@ -8,6 +8,7 @@ import pytest
 from repro import (
     Correspondence,
     CorrespondenceTranslator,
+    InferenceConfig,
     Model,
     WeightedCollection,
     infer,
@@ -63,7 +64,7 @@ class TestEvidenceIncrement:
     def test_no_weights_still_reports_increment(self, translator, rng):
         source = translator.source
         collection = WeightedCollection.uniform([source.score({"x": 1})] * 5)
-        step = infer(translator, collection, rng, use_weights=False)
+        step = infer(translator, collection, rng, config=InferenceConfig(use_weights=False))
         # Output weights unchanged, but the diagnostic is still computed.
         assert all(w == 0.0 for w in step.collection.log_weights)
         assert math.isfinite(step.stats.log_mean_weight_increment)
@@ -83,7 +84,7 @@ class TestStatsShape:
     def test_resampled_flag_consistency(self, translator, rng):
         source = translator.source
         collection = WeightedCollection.uniform([source.score({"x": 1})] * 10)
-        never = infer(translator, collection, rng, resample="never")
-        always = infer(translator, collection, rng, resample="always")
+        never = infer(translator, collection, rng, config=InferenceConfig(resample="never"))
+        always = infer(translator, collection, rng, config=InferenceConfig(resample="always"))
         assert not never.stats.resampled
         assert always.stats.resampled

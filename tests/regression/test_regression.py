@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from repro import CorrespondenceTranslator, WeightedCollection, infer
+from repro import CorrespondenceTranslator, InferenceConfig, WeightedCollection, infer
 from repro.core.mcmc import chain, cycle, random_walk_mh_site
 from repro.distributions import Normal, TwoNormals
 from repro.regression import (
@@ -189,7 +189,7 @@ class TestIncrementalRegression:
             WeightedCollection.uniform(traces),
             rng,
             mcmc_kernel=kernel,
-            resample="always",
+            config=InferenceConfig(resample="always"),
         )
         estimate = step.collection.estimate(lambda u: u[ADDR_SLOPE])
 
