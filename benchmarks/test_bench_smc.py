@@ -5,8 +5,7 @@ Measures the per-figure median latency of one Algorithm-2 translate
 step (the SMC hot path) under
 
 * the legacy inline loop (``executor=None``),
-* the ``serial`` / ``thread`` / ``process`` backends of
-  :mod:`repro.parallel`,
+* the ``serial`` / ``process`` backends of :mod:`repro.parallel`,
 * ``collection='columnar'`` vs ``collection='object'`` across particle
   counts (100 to 10k), the columnar step both on a population converted
   once up front and including the per-step
@@ -92,36 +91,58 @@ def _median_step_latency(run_step, repetitions=REPETITIONS):
     return float(np.median(times)), results
 
 
+def _executor_config(backend):
+    """The executor series' config: only ``process`` takes a worker count."""
+    workers = PARALLEL_WORKERS if backend == "process" else None
+    return InferenceConfig(executor=backend, workers=workers)
+
+
+def _time_executor_series(smc_bench, figure, backend, num_particles, run_step):
+    """Record the median of ``run_step`` as one executor-series point;
+    returns every call's result."""
+    median, results = _median_step_latency(run_step)
+    smc_bench(
+        {
+            "figure": figure,
+            "series": f"executor={backend or 'inline'}",
+            "workers": PARALLEL_WORKERS if backend == "process" else 1,
+            "num_particles": num_particles,
+            "median_step_latency_s": median,
+        }
+    )
+    return results
+
+
 def _fig8_step(setup, executor, seed=7):
+    """One timed fig8 step on inputs generated once, outside the timed
+    region: every call steps a copy of the same population with the same
+    step seed."""
     p_model, q_model, posterior = setup
     translator = CorrespondenceTranslator(p_model, q_model, coefficient_correspondence())
-    config = InferenceConfig(executor=executor, workers=PARALLEL_WORKERS)
+    config = _executor_config(executor)
+    rng = np.random.default_rng(seed)
+    population = WeightedCollection.uniform(
+        [exact_regression_trace(posterior, rng, p_model) for _ in range(NUM_TRACES)]
+    )
 
     def run_step():
-        rng = np.random.default_rng(seed)
-        traces = [
-            exact_regression_trace(posterior, rng, p_model) for _ in range(NUM_TRACES)
-        ]
-        step = infer(translator, WeightedCollection.uniform(traces), rng, config=config)
+        step = infer(
+            translator, population.copy(), np.random.default_rng(seed + 1),
+            config=config,
+        )
         return step.collection.estimate(lambda u: u[ADDR_SLOPE])
 
     return run_step
 
 
-@pytest.mark.parametrize("backend", [None, "serial", "thread", "process"])
+@pytest.mark.parametrize("backend", [None, "serial", "process"])
 def test_fig8_step_latency_by_backend(fig8_setup, smc_bench, backend):
     run_step = _fig8_step(fig8_setup, backend)
-    median, estimates = _median_step_latency(run_step)
-    smc_bench(
-        {
-            "figure": "fig8",
-            "series": f"executor={backend or 'inline'}",
-            "workers": 1 if backend in (None, "serial") else PARALLEL_WORKERS,
-            "num_particles": NUM_TRACES,
-            "median_step_latency_s": median,
-        }
+    estimates = _time_executor_series(
+        smc_bench, "fig8", backend, NUM_TRACES, run_step
     )
     assert -2.0 < estimates[-1] < 0.5
+    assert estimates == [estimates[0]] * REPETITIONS, estimates
 
 
 #: Particle counts for the columnar scaling series.  The object path is
@@ -252,7 +273,7 @@ def test_fig8_columnar_estimates_match_object_bitwise(
     assert estimates["object"] == estimates["columnar"]
 
 
-@pytest.mark.parametrize("backend", [None, "thread"])
+@pytest.mark.parametrize("backend", [None, "serial", "process"])
 def test_fig9_step_latency_by_backend(fig9_setup, smc_bench, backend):
     p_params, q_params, corpus = fig9_setup
     typed, _truth = corpus.test[0]
@@ -262,23 +283,18 @@ def test_fig9_step_latency_by_backend(fig9_setup, smc_bench, backend):
     translator = CorrespondenceTranslator(
         p_model, q_model, hidden_state_correspondence()
     )
-    config = InferenceConfig(executor=backend, workers=PARALLEL_WORKERS)
-
-    def run_step():
-        rng = np.random.default_rng(11)
-        traces = [
+    config = _executor_config(backend)
+    rng = np.random.default_rng(11)
+    population = WeightedCollection.uniform(
+        [
             exact_first_order_trace(p_params, observations, rng, p_model)
             for _ in range(30)
         ]
-        return infer(translator, WeightedCollection.uniform(traces), rng, config=config)
-
-    median, _ = _median_step_latency(run_step)
-    smc_bench(
-        {
-            "figure": "fig9",
-            "series": f"executor={backend or 'inline'}",
-            "workers": 1 if backend is None else PARALLEL_WORKERS,
-            "num_particles": 30,
-            "median_step_latency_s": median,
-        }
     )
+
+    def run_step():
+        return infer(
+            translator, population.copy(), np.random.default_rng(12), config=config
+        )
+
+    _time_executor_series(smc_bench, "fig9", backend, 30, run_step)

@@ -41,6 +41,13 @@ def _is_process_executor(executor: Any) -> bool:
     return type(executor).__name__ == "ProcessExecutor"
 
 
+def _is_single_chunk_executor(executor: Any) -> bool:
+    """True when ``workers`` cannot change how the translate phase runs."""
+    if executor is None or executor == "serial":
+        return True
+    return type(executor).__name__ == "SerialExecutor"
+
+
 def lint_config(
     config: InferenceConfig, translator: Optional[Any] = None
 ) -> List[Diagnostic]:
@@ -78,12 +85,16 @@ def lint_config(
                     "replace it with a module-level function or class",
                     "config-unpicklable",
                 )
-    if config.workers is not None and config.executor is None:
+    if config.workers is not None and _is_single_chunk_executor(config.executor):
+        running = (
+            "executor is None (the legacy inline loop)"
+            if config.executor is None
+            else "the serial executor runs every particle in one chunk"
+        )
         finding(
             "warning",
-            f"workers={config.workers} has no effect because executor is "
-            "None (the legacy inline loop); set executor='thread' or "
-            "'process' to parallelize",
+            f"workers={config.workers} has no effect because {running}; "
+            "set executor='process' to parallelize",
             "config-workers-ignored",
         )
 
@@ -139,8 +150,7 @@ def lint_config(
                 "vectorized pass, so executor='process' only adds "
                 "pickling/IPC overhead unless steps routinely spill to "
                 "the object path with particle counts large enough to "
-                "amortize worker startup; prefer executor=None (or "
-                "'thread' for spill-heavy workloads)",
+                "amortize worker startup; prefer executor=None",
                 "config-columnar-process-executor",
             )
 

@@ -122,13 +122,13 @@ def profile_model(
     * ``"runtime"`` — exhaustive enumeration when the model is finite
       and discrete, else ``num_samples`` forward simulations seeded
       from ``rng`` (a fixed seed when omitted, so validation is
-      deterministic).  This is the pre-static behaviour.
-    * ``"sample"`` — forward simulation only (benchmark baseline).
+      deterministic).  This is the pre-static behaviour, and its
+      sampling fallback labels the profile ``method="sample"``.
     """
-    if method not in ("auto", "static", "runtime", "sample"):
+    if method not in ("auto", "static", "runtime"):
         raise ValueError(
             f"unknown profiling method {method!r}; choose from "
-            "'auto', 'static', 'runtime', 'sample'"
+            "'auto', 'static', 'runtime'"
         )
     if method in ("auto", "static"):
         from .absint import analyze_model
@@ -144,8 +144,6 @@ def profile_model(
                 f"{static.failure}"
             )
     profile = AddressProfile(name=profile_name(model))
-    if method == "sample":
-        return _profile_by_sampling(profile, model, rng, num_samples)
     try:
         count = 0
         enumerated: List[Any] = []

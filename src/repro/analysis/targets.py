@@ -274,7 +274,7 @@ def bundled_targets() -> TargetRegistry:
         resample="adaptive",
         ess_threshold=0.5,
         fault_policy="drop",
-        executor="thread",
+        executor="process",
         workers=2,
     )
     registry["config:checkpointed"] = _config(

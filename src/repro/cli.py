@@ -1151,10 +1151,13 @@ def _add_executor_arguments(cmd: argparse.ArgumentParser) -> None:
     cmd.add_argument("--executor", choices=InferenceConfig.EXECUTOR_BACKENDS,
                      default=None,
                      help="particle-execution backend for the SMC translate "
-                          "phase (default: inline loop); all backends are "
-                          "byte-identical for a fixed seed")
+                          "phase (default: inline loop): 'serial' runs in "
+                          "process, 'process' splits particles over worker "
+                          "processes; both are byte-identical for a fixed "
+                          "seed")
     cmd.add_argument("--workers", type=_positive_int, default=None,
-                     help="worker count for --executor (default: core count)")
+                     help="worker count for --executor process (default: "
+                          "core count)")
     cmd.add_argument("--collection", choices=InferenceConfig.COLLECTION_MODES,
                      default="object",
                      help="particle-population representation: 'object' keeps "

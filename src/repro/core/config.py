@@ -148,16 +148,16 @@ class InferenceConfig:
     executor:
         Particle-execution backend for the translate phase: ``None``
         (the default) keeps the legacy inline loop fed by the shared
-        step RNG; ``"serial"``, ``"thread"``, or ``"process"`` dispatch
-        through :mod:`repro.parallel` with per-particle RNG streams
-        spawned via :class:`numpy.random.SeedSequence` (all three
-        produce byte-identical collections for a fixed seed); a
+        step RNG; ``"serial"`` or ``"process"`` dispatch through
+        :mod:`repro.parallel` with per-particle RNG streams spawned via
+        :class:`numpy.random.SeedSequence` (both produce byte-identical
+        collections for a fixed seed); a
         :class:`~repro.parallel.ParticleExecutor` instance is used
         as-is (and owns its pool lifecycle).
     workers:
-        Worker count for a string-selected executor backend (defaults
-        to the machine's core count).  Ignored when ``executor`` is
-        ``None`` or an instance.
+        Worker count for ``executor="process"`` (defaults to the
+        machine's core count).  Ignored when ``executor`` is ``None``,
+        ``"serial"`` (always one chunk), or an instance.
     tracer / metrics / hooks:
         The observability sinks (:mod:`repro.observability`).  All
         default to the null implementations, which are contractually
@@ -194,10 +194,10 @@ class InferenceConfig:
         modes.
     """
 
-    #: Executor backend names accepted as strings (mirrors
-    #: :data:`repro.parallel.EXECUTOR_BACKENDS`; kept literal here so the
+    #: Executor backend names accepted as strings; the one definition,
+    #: re-exported as :data:`repro.parallel.EXECUTOR_BACKENDS` (the
     #: config module never imports the parallel package).
-    EXECUTOR_BACKENDS = ("serial", "thread", "process")
+    EXECUTOR_BACKENDS = ("serial", "process")
 
     resample: str = "never"
     ess_threshold: float = 0.5

@@ -27,10 +27,10 @@ Parallel execution
 
 The translate phase treats particles independently (Lemma 2), so it can
 be dispatched through a :class:`repro.parallel.ParticleExecutor` by
-setting ``InferenceConfig(executor="serial"|"thread"|"process",
-workers=N)``.  Executor-backed steps derive per-particle RNG streams
-from one ``SeedSequence`` spawn (consuming exactly one draw from the
-step generator), so all three backends produce byte-identical
+setting ``InferenceConfig(executor="serial"|"process", workers=N)``.
+Executor-backed steps derive per-particle RNG streams from one
+``SeedSequence`` spawn (consuming exactly one draw from the step
+generator), so both backends produce byte-identical
 collections for a fixed seed; the default ``executor=None`` keeps the
 historical inline loop, in which particles share the step RNG, byte-
 identical to previous releases.  With a tracer attached, an

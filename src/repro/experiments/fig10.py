@@ -39,14 +39,6 @@ class Fig10Config:
     sigma_old: float = 2.0
     sigma_new: float = 3.0
     repetitions: int = 5
-    #: When set, add a "Baseline (parallel batch)" series: a batch of
-    #: ``executor_batch`` baseline translations dispatched through the
-    #: named repro.parallel backend ("thread" recommended here — the
-    #: lang-bridge translator is deepcopy-friendly but not guaranteed
-    #: picklable for "process") with per-particle SeedSequence streams.
-    executor: Optional[str] = None
-    workers: Optional[int] = None
-    executor_batch: int = 8
 
 
 @dataclass
@@ -109,23 +101,6 @@ def run_fig10(config: Optional[Fig10Config] = None, quiet: bool = False) -> Fig1
                 },
             )
         )
-
-        if config.executor is not None:
-            from ..core.config import FaultPolicy
-            from ..parallel import resolve_executor, spawn_particle_rngs
-
-            executor = resolve_executor(config.executor, config.workers)
-            batch = [flat_trace] * config.executor_batch
-            seeds = spawn_particle_rngs(rng, len(batch))
-            start = time.perf_counter()
-            executor.map_translate(baseline, batch, seeds, FaultPolicy(), None)
-            elapsed = time.perf_counter() - start
-            rows.append(
-                Row(
-                    "Baseline (parallel batch)",
-                    {"n": n, "translation_time_s": elapsed / len(batch)},
-                )
-            )
 
     if not quiet:
         print_table(

@@ -65,7 +65,7 @@ class Fig8Config:
     )
     gold_iterations: int = 20000
     #: Particle-execution backend for the incremental series (None = the
-    #: inline loop; "serial"/"thread"/"process" dispatch through
+    #: inline loop; "serial"/"process" dispatch through
     #: repro.parallel) and its worker count.
     executor: Optional[str] = None
     workers: Optional[int] = None

@@ -3,7 +3,7 @@
 The translate step of Algorithm 2 treats particles independently
 (Lemma 2), so it parallelizes without changing the math.  This package
 provides the executor abstraction the SMC loop dispatches through —
-``serial`` / ``thread`` / ``process`` backends selected via
+``serial`` / ``process`` backends selected via
 :attr:`repro.core.config.InferenceConfig.executor` — with per-particle
 RNG streams spawned from :class:`numpy.random.SeedSequence` so every
 backend produces byte-identical collections for a fixed seed.
@@ -17,14 +17,13 @@ from .executor import (
     ParticleExecutor,
     ProcessExecutor,
     SerialExecutor,
-    ThreadExecutor,
     chunk_bounds,
     get_executor,
     resolve_executor,
     spawn_particle_rngs,
 )
 from .pickling import UnpicklableAttribute, find_unpicklable
-from .worker import ParticleOutcome, payload_nbytes
+from .worker import ParticleOutcome
 
 __all__ = [
     "UnpicklableAttribute",
@@ -32,12 +31,10 @@ __all__ = [
     "EXECUTOR_BACKENDS",
     "ParticleExecutor",
     "SerialExecutor",
-    "ThreadExecutor",
     "ProcessExecutor",
     "ParticleOutcome",
     "chunk_bounds",
     "get_executor",
     "resolve_executor",
     "spawn_particle_rngs",
-    "payload_nbytes",
 ]

@@ -5,20 +5,15 @@ particle of the input collection *independently* — an embarrassingly
 parallel step.  A :class:`ParticleExecutor` owns the strategy for
 running that map:
 
-* ``serial`` — one particle after another in the calling thread.  The
-  reference backend: the other two are required to reproduce its output
-  byte for byte.
-* ``thread`` — a :class:`~concurrent.futures.ThreadPoolExecutor` over
-  contiguous particle chunks.  Translation is pure Python, so threads
-  mostly help workloads that release the GIL (numpy-heavy models) or
-  that block; each chunk gets a private ``copy.deepcopy`` of the
-  translator so stateful wrappers (fault injectors)
-  see the same isolation semantics as process workers.
+* ``serial`` — one particle after another in the calling thread, on
+  the caller's translator.  The reference backend: ``process`` is
+  required to reproduce its output byte for byte.
 * ``process`` — a :class:`~concurrent.futures.ProcessPoolExecutor` over
   chunked particle batches.  The translator, fault policy, and particle
   batch are pickled to the workers, so everything reachable from them
   must be picklable (module-level model functions are; closures are
-  not).  This is the backend that scales with cores.
+  not), and each chunk runs on its own unpickled copy of the translator.
+  This is the backend that scales with cores.
 
 Determinism
 -----------
@@ -44,16 +39,17 @@ import atexit
 import os
 import threading
 from abc import ABC, abstractmethod
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
+
+from ..core.config import InferenceConfig
 
 __all__ = [
     "EXECUTOR_BACKENDS",
     "ParticleExecutor",
     "SerialExecutor",
-    "ThreadExecutor",
     "ProcessExecutor",
     "get_executor",
     "resolve_executor",
@@ -61,8 +57,8 @@ __all__ = [
     "chunk_bounds",
 ]
 
-#: Recognized backend names, in preference order for documentation.
-EXECUTOR_BACKENDS = ("serial", "thread", "process")
+#: Recognized backend names (defined once, on the config class).
+EXECUTOR_BACKENDS = InferenceConfig.EXECUTOR_BACKENDS
 
 
 def default_workers() -> int:
@@ -162,62 +158,15 @@ class SerialExecutor(ParticleExecutor):
         )
 
 
-class ThreadExecutor(ParticleExecutor):
-    """Chunked thread-pool backend with per-chunk translator copies."""
-
-    name = "thread"
-
-    def __init__(self, workers: Optional[int] = None):
-        super().__init__(workers)
-        self._pool: Optional[ThreadPoolExecutor] = None
-        self._lock = threading.Lock()
-
-    def _ensure_pool(self) -> ThreadPoolExecutor:
-        with self._lock:
-            if self._pool is None:
-                self._pool = ThreadPoolExecutor(
-                    max_workers=self.workers, thread_name_prefix="repro-particle"
-                )
-            return self._pool
-
-    def map_translate(self, translator, items, seeds, policy, regenerate_fn):
-        from .worker import translate_chunk_isolated
-
-        pool = self._ensure_pool()
-        futures = [
-            pool.submit(
-                translate_chunk_isolated,
-                translator, list(items[lo:hi]), list(seeds[lo:hi]),
-                policy, regenerate_fn, lo, worker_id,
-            )
-            for worker_id, (lo, hi) in enumerate(chunk_bounds(len(items), self.workers))
-        ]
-        outcomes: List[Any] = []
-        for future in futures:
-            outcomes.extend(future.result())
-        return outcomes
-
-    def close(self) -> None:
-        with self._lock:
-            if self._pool is not None:
-                self._pool.shutdown(wait=True)
-                self._pool = None
-
-
 class ProcessExecutor(ParticleExecutor):
     """Chunked process-pool backend (pickled translation closures)."""
 
     name = "process"
 
-    def __init__(self, workers: Optional[int] = None, *, record_payloads: bool = False):
+    def __init__(self, workers: Optional[int] = None):
         super().__init__(workers)
         self._pool: Optional[ProcessPoolExecutor] = None
         self._lock = threading.Lock()
-        #: When True, every map_translate records the codec-serialized
-        #: size of each shipped particle chunk in last_payload_nbytes.
-        #: Off by default — measuring costs one extra encode per chunk.
-        self.record_payloads = bool(record_payloads)
-        self.last_payload_nbytes: Optional[List[int]] = None
 
     def _ensure_pool(self) -> ProcessPoolExecutor:
         with self._lock:
@@ -255,7 +204,7 @@ class ProcessExecutor(ParticleExecutor):
                 )
 
     def map_translate(self, translator, items, seeds, policy, regenerate_fn):
-        from .worker import chunk_entry, payload_nbytes
+        from .worker import chunk_entry
 
         self._preflight(translator, policy, regenerate_fn)
         pool = self._ensure_pool()
@@ -264,10 +213,6 @@ class ProcessExecutor(ParticleExecutor):
              policy, regenerate_fn, lo, worker_id)
             for worker_id, (lo, hi) in enumerate(chunk_bounds(len(items), self.workers))
         ]
-        if self.record_payloads:
-            self.last_payload_nbytes = [
-                payload_nbytes(payload[1]) for payload in payloads
-            ]
         try:
             futures = [pool.submit(chunk_entry, payload) for payload in payloads]
             outcomes: List[Any] = []
@@ -293,7 +238,6 @@ class ProcessExecutor(ParticleExecutor):
 
 _BACKENDS = {
     "serial": SerialExecutor,
-    "thread": ThreadExecutor,
     "process": ProcessExecutor,
 }
 

@@ -11,10 +11,7 @@ position), the outcomes are independent of which worker — or how many —
 ran the chunk.
 
 :func:`chunk_entry` is the picklable top-level entry point submitted to
-:class:`concurrent.futures.ProcessPoolExecutor`; the thread backend uses
-:func:`translate_chunk_isolated`, which first deep-copies the translator
-so stateful wrappers (chaos injectors) get the same
-chunk-private isolation that process workers get from pickling.
+:class:`concurrent.futures.ProcessPoolExecutor`.
 
 Chaos alignment: translators that expose a ``sync_calls(index)`` method
 (see :class:`repro.testing.faults.FaultyTranslator`) are re-synced to
@@ -24,7 +21,6 @@ schedule hits the same particles under every backend and chunking.
 
 from __future__ import annotations
 
-import copy
 import os
 import signal
 import subprocess
@@ -37,9 +33,7 @@ import numpy as np
 __all__ = [
     "ParticleOutcome",
     "translate_chunk",
-    "translate_chunk_isolated",
     "chunk_entry",
-    "payload_nbytes",
     "spawn_ready_process",
     "wait_for_file",
     "stop_process",
@@ -89,32 +83,6 @@ def translate_chunk(
         )
         outcomes.append(ParticleOutcome(outcome, trace, value, *counters, worker_id))
     return outcomes
-
-
-def translate_chunk_isolated(
-    translator: Any,
-    items: Sequence[Any],
-    seeds: Sequence[np.random.SeedSequence],
-    policy: Any,
-    regenerate_fn: Any,
-    start_index: int,
-    worker_id: int,
-) -> List[ParticleOutcome]:
-    """Thread-backend chunk: deep-copy the translator first.
-
-    The copy gives each chunk private translator state — mirroring the
-    pickling isolation of process workers — so concurrent chunks never
-    race on injector streams.  A ``regenerate_fn``
-    that is a bound method of the original translator is re-bound to the
-    copy, again matching what pickling does.
-    """
-    original = translator
-    translator = copy.deepcopy(original)
-    if regenerate_fn is not None and getattr(regenerate_fn, "__self__", None) is original:
-        regenerate_fn = getattr(translator, regenerate_fn.__name__)
-    return translate_chunk(
-        translator, items, seeds, policy, regenerate_fn, start_index, worker_id
-    )
 
 
 def chunk_entry(payload: Tuple) -> List[ParticleOutcome]:
@@ -226,19 +194,3 @@ def python_argv(module: str, *args: str) -> List[str]:
     """``[sys.executable, "-m", module, *args]`` — the spawn vector for a
     repro worker module, using the exact interpreter running this code."""
     return [sys.executable, "-m", module, *args]
-
-
-def payload_nbytes(items: Sequence[Any], format: str = "binary") -> int:
-    """Serialized size of a particle slice, in bytes.
-
-    The ``process`` backend ships each chunk's particles across a pipe;
-    this measures that shipping cost explicitly by encoding the slice
-    through the durable :mod:`repro.store` codec (the same envelope a
-    checkpoint writes, so checkpoint sizes and chunk-shipping sizes are
-    directly comparable).  Used by the chunk-shipping diagnostics of
-    :class:`~repro.parallel.executor.ProcessExecutor` and the store
-    benchmarks.
-    """
-    from ..store import dumps
-
-    return len(dumps(list(items), format))

@@ -50,7 +50,7 @@ import time
 import zlib
 from concurrent.futures import ThreadPoolExecutor
 from functools import partial
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..errors import (
     BadRequestError,
@@ -110,6 +110,75 @@ class DeadlineHooks(Hooks):
 
     def on_particle(self, index: int, outcome: str) -> None:
         self._check()
+
+
+def _require_str(payload: Dict[str, Any], field: str) -> str:
+    value = payload.get(field)
+    if not isinstance(value, str) or not value.strip():
+        raise BadRequestError(f"op needs a non-empty string {field!r}")
+    return value
+
+
+def _optional_dict(payload: Dict[str, Any], field: str) -> Optional[Dict[str, Any]]:
+    value = payload.get(field)
+    if value is None:
+        return None
+    if not isinstance(value, dict):
+        raise BadRequestError(f"{field!r} must be a mapping")
+    return value
+
+
+def execute_op(
+    store: DurableSessionStore,
+    op: str,
+    tenant: str,
+    session_id: str,
+    payload: Dict[str, Any],
+    hooks: Optional[Hooks],
+    *,
+    ensure_live: Optional[Callable[[str], None]] = None,
+    middleware: Optional[Callable[..., Any]] = None,
+) -> Any:
+    """Validate ``payload`` and run one session op against ``store``.
+
+    The single create/edit/observe/posterior/close path of both service
+    modes: the in-process shard lanes and the shard processes of process
+    mode.  ``ensure_live(session_id)`` runs before any op on an existing
+    session (a shard process's lazy recovery); ``middleware(op,
+    session_id, apply)``, when given, wraps the mutating ops (edit and
+    observe) — a test seam.  The commit happens inside the store call.
+    """
+    if op == "create":
+        return store.create_session(
+            tenant,
+            session_id,
+            _require_str(payload, "program"),
+            env=_optional_dict(payload, "env"),
+            num_particles=payload.get("num_particles"),
+            seed=payload.get("seed"),
+        )
+    if ensure_live is not None:
+        ensure_live(session_id)
+    store.owns(tenant, session_id)
+    if op == "edit":
+        apply = partial(
+            store.apply_edit, session_id, _require_str(payload, "program"),
+            hooks=hooks,
+        )
+    elif op == "observe":
+        apply = partial(
+            store.apply_observation, session_id,
+            _require_str(payload, "statement"), hooks=hooks,
+        )
+    elif op == "posterior":
+        return store.posterior(session_id, top=int(payload.get("top", 10)))
+    elif op == "close":
+        return store.close_session(session_id)
+    else:  # pragma: no cover — both callers validate op first
+        raise BadRequestError(f"unknown op {op!r}")
+    if middleware is not None:
+        return middleware(op, session_id, apply)
+    return apply()
 
 
 class _Shard:
@@ -806,61 +875,13 @@ class InferenceService:
         """
         if self._process_mode:
             return self._execute_forward(shard, item)
-        op, payload, session_id = item.op, item.payload, item.session
-        hooks = DeadlineHooks(item.deadline_at)
-        with shard.tracer.span(f"service.{op}") as span:
+        with shard.tracer.span(f"service.{item.op}") as span:
             span.count("shard", shard.index)
-            if op == "create":
-                return self.store.create_session(
-                    item.tenant,
-                    session_id,
-                    self._require_str(payload, "program"),
-                    env=self._optional_dict(payload, "env"),
-                    num_particles=payload.get("num_particles"),
-                    seed=payload.get("seed"),
-                )
-            self.store.owns(item.tenant, session_id)
-            if op == "edit":
-                apply = partial(
-                    self.store.apply_edit,
-                    session_id,
-                    self._require_str(payload, "program"),
-                    hooks=hooks,
-                )
-            elif op == "observe":
-                apply = partial(
-                    self.store.apply_observation,
-                    session_id,
-                    self._require_str(payload, "statement"),
-                    hooks=hooks,
-                )
-            elif op == "posterior":
-                return self.store.posterior(
-                    session_id, top=int(payload.get("top", 10))
-                )
-            elif op == "close":
-                return self.store.close_session(session_id)
-            else:  # pragma: no cover — _dispatch already validated op
-                raise BadRequestError(f"unknown op {op!r}")
-            if self.translator_middleware is not None:
-                return self.translator_middleware(op, session_id, apply)
-            return apply()
-
-    @staticmethod
-    def _require_str(payload: Dict[str, Any], field: str) -> str:
-        value = payload.get(field)
-        if not isinstance(value, str) or not value.strip():
-            raise BadRequestError(f"op needs a non-empty string {field!r}")
-        return value
-
-    @staticmethod
-    def _optional_dict(payload: Dict[str, Any], field: str) -> Optional[Dict[str, Any]]:
-        value = payload.get(field)
-        if value is None:
-            return None
-        if not isinstance(value, dict):
-            raise BadRequestError(f"{field!r} must be a mapping")
-        return value
+            return execute_op(
+                self.store, item.op, item.tenant, item.session, item.payload,
+                DeadlineHooks(item.deadline_at),
+                middleware=self.translator_middleware,
+            )
 
     # -- introspection ---------------------------------------------------------
 

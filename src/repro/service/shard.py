@@ -72,7 +72,7 @@ from ..store.codec import dumps, loads
 from ..store.session import _check_session_id
 from .client import _LENGTH, _read_exact
 from .config import ServiceConfig
-from .server import DeadlineHooks
+from .server import DeadlineHooks, execute_op
 from .state import DurableSessionStore
 from .wire import (
     SHARD_OPS,
@@ -282,37 +282,10 @@ class ShardServer:
         deadline_s = request.get("deadline_s")
         if deadline_s is not None:
             hooks = DeadlineHooks(time.monotonic() + float(deadline_s))
-
-        if op == "create":
-            program = request.get("program")
-            if not isinstance(program, str) or not program.strip():
-                raise BadRequestError("op needs a non-empty string 'program'")
-            return self.store.create_session(
-                tenant,
-                session_id,
-                program,
-                env=request.get("env"),
-                num_particles=request.get("num_particles"),
-                seed=request.get("seed"),
-            )
-
-        self._ensure_live(session_id)
-        self.store.owns(tenant, session_id)
-        if op == "edit":
-            program = request.get("program")
-            if not isinstance(program, str) or not program.strip():
-                raise BadRequestError("op needs a non-empty string 'program'")
-            return self.store.apply_edit(session_id, program, hooks=hooks)
-        if op == "observe":
-            statement = request.get("statement")
-            if not isinstance(statement, str) or not statement.strip():
-                raise BadRequestError("op needs a non-empty string 'statement'")
-            return self.store.apply_observation(session_id, statement, hooks=hooks)
-        if op == "posterior":
-            return self.store.posterior(session_id, top=int(request.get("top", 10)))
-        if op == "close":
-            return self.store.close_session(session_id)
-        raise BadRequestError(f"unknown op {op!r}")  # pragma: no cover
+        return execute_op(
+            self.store, op, tenant, session_id, request, hooks,
+            ensure_live=self._ensure_live,
+        )
 
     # -- introspection ---------------------------------------------------------
 

@@ -3,6 +3,7 @@
 from repro.analysis import lint_config
 from repro.core import InferenceConfig
 from repro.core.config import FaultPolicy
+from repro.parallel import SerialExecutor
 
 
 def codes(diagnostics):
@@ -55,8 +56,11 @@ class TestConfigLint:
         assert "config-checkpoint-cadence" not in codes(lint_config(config))
 
     def test_workers_without_executor_warns(self):
-        diagnostics = lint_config(InferenceConfig(workers=4))
-        assert "config-workers-ignored" in codes(diagnostics)
+        for executor in (None, "serial", SerialExecutor()):
+            diagnostics = lint_config(InferenceConfig(executor=executor, workers=4))
+            assert "config-workers-ignored" in codes(diagnostics), executor
+        diagnostics = lint_config(InferenceConfig(executor="process", workers=4))
+        assert "config-workers-ignored" not in codes(diagnostics)
 
     def test_ess_threshold_with_never_resample_warns(self):
         diagnostics = lint_config(

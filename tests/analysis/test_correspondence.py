@@ -65,6 +65,10 @@ class TestProfileModel:
         assert profile.method == "sample"
         assert ("a",) in profile
 
+    def test_sampling_is_a_result_not_a_method(self):
+        with pytest.raises(ValueError, match="unknown profiling method"):
+            profile_model(Model(_gauss_fn, name="g"), method="sample")
+
 
 class TestSeededBugs:
     def test_non_injective_intensional_map(self):

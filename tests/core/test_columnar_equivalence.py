@@ -43,9 +43,9 @@ from repro.regression.programs import (
 EXECUTORS = [
     pytest.param(None, None, id="inline"),
     pytest.param("serial", None, id="serial"),
-    pytest.param("thread", 1, id="thread-1"),
-    pytest.param("thread", 3, id="thread-3"),
+    pytest.param("process", 1, id="process-1"),
     pytest.param("process", 2, id="process-2"),
+    pytest.param("process", 3, id="process-3"),
 ]
 
 

@@ -1,8 +1,8 @@
 """Cross-backend determinism: the tentpole guarantee of repro.parallel.
 
 For a fixed seed, ``infer`` must produce **byte-identical** weighted
-collections under the ``serial``, ``thread``, and ``process`` backends,
-for any worker count — and, under the scripted fault injector, identical
+collections under the ``serial`` and ``process`` backends, for any
+worker count — and, under the scripted fault injector, identical
 ``SMCStats`` fault counters too.  These tests are what the CI
 parallel-correctness job runs with ``--workers 2``.
 """
@@ -23,10 +23,9 @@ NUM_PARTICLES = 24
 BACKENDS = [
     ("serial", 1),
     ("serial", 3),
-    ("thread", 1),
-    ("thread", 2),
-    ("thread", 3),
+    ("process", 1),
     ("process", 2),
+    ("process", 3),
 ]
 
 
@@ -72,23 +71,22 @@ class TestByteIdenticalBackends:
 
     def test_log_weights_bitwise_equal(self):
         serial = _run("serial", 1).collection.log_weights
-        threaded = _run("thread", 3).collection.log_weights
-        assert [w.hex() for w in serial] == [w.hex() for w in threaded]
+        process = _run("process", 3).collection.log_weights
+        assert [w.hex() for w in serial] == [w.hex() for w in process]
 
     def test_chunking_does_not_matter(self):
         """Same backend, different worker counts: same bytes."""
-        expected = _fingerprint(_run("thread", 1).collection)
-        for workers in (2, 3, 5):
-            assert _fingerprint(_run("thread", workers).collection) == expected
+        expected = _fingerprint(_run("process", 1).collection)
+        for workers in (2, 3):
+            assert _fingerprint(_run("process", workers).collection) == expected
 
     def test_cli_selected_worker_count(self, cli_workers):
         """CI entry point: ``pytest tests/parallel --workers N``."""
         expected = _fingerprint(_run("serial", 1).collection)
-        for backend in ("thread", "process"):
-            step = _run(backend, cli_workers)
-            assert _fingerprint(step.collection) == expected, (
-                f"{backend}/{cli_workers} diverged from the serial reference"
-            )
+        step = _run("process", cli_workers)
+        assert _fingerprint(step.collection) == expected, (
+            f"process/{cli_workers} diverged from the serial reference"
+        )
 
     def test_repeated_runs_are_deterministic(self):
         assert _fingerprint(_run("process", 2).collection) == _fingerprint(
@@ -112,8 +110,8 @@ class TestFaultDeterminism:
         assert stats.regenerated == 0
         if backend == "serial":
             # The serial backend runs the caller's translator in place,
-            # so its injector bookkeeping is visible; thread/process
-            # chunks operate on isolated copies by design.
+            # so its injector bookkeeping is visible; process chunks
+            # operate on unpickled copies by design.
             assert injector.injected["error"] == 2
             assert injector.injected["neg_inf"] == 1
         # Dropped particles carry -inf; so does the neg_inf injection.
@@ -144,7 +142,7 @@ class TestFaultDeterminism:
 
     def test_faults_by_worker_accounts_every_failure(self):
         injector = FaultInjector(at_calls=SCHEDULE)
-        step = _run("thread", 3, policy="drop", injector=injector)
+        step = _run("process", 3, policy="drop", injector=injector)
         by_worker = step.stats.faults_by_worker
         assert by_worker is not None
         # 24 particles over 3 chunks of 8: both errors (particles 1 and

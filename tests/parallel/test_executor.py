@@ -10,11 +10,9 @@ import pytest
 
 from repro.core.config import FaultPolicy, InferenceConfig
 from repro.parallel import (
-    EXECUTOR_BACKENDS,
     ParticleExecutor,
     ProcessExecutor,
     SerialExecutor,
-    ThreadExecutor,
     chunk_bounds,
     get_executor,
     resolve_executor,
@@ -82,9 +80,11 @@ class TestRegistry:
         assert resolve_executor(None) is None
 
     def test_resolve_string(self):
-        executor = resolve_executor("thread", 2)
-        assert isinstance(executor, ThreadExecutor)
+        executor = resolve_executor("process", 2)
+        assert isinstance(executor, ProcessExecutor)
         assert executor.workers == 2
+        with pytest.raises(ValueError, match="unknown executor backend"):
+            resolve_executor("thread", 2)
 
     def test_resolve_instance_passthrough(self):
         executor = SerialExecutor()
@@ -95,14 +95,12 @@ class TestRegistry:
             resolve_executor(42)
 
     def test_config_validates_backend_names(self):
-        assert InferenceConfig(executor="thread").executor == "thread"
+        assert InferenceConfig(executor="process").executor == "process"
+        for name in ("gpu", "thread"):
+            with pytest.raises(ValueError, match="unknown executor backend"):
+                InferenceConfig(executor=name)
         with pytest.raises(ValueError):
-            InferenceConfig(executor="gpu")
-        with pytest.raises(ValueError):
-            InferenceConfig(executor="thread", workers=0)
-
-    def test_backends_constant_matches_config(self):
-        assert tuple(EXECUTOR_BACKENDS) == InferenceConfig.EXECUTOR_BACKENDS
+            InferenceConfig(executor="process", workers=0)
 
 
 def _run_map(executor, num_particles, seed=3):
@@ -120,7 +118,7 @@ class TestOutcomeProtocol:
         assert executor.name == "serial"
 
     def test_outcomes_in_particle_order_with_worker_ids(self):
-        with ThreadExecutor(workers=3) as executor:
+        with ProcessExecutor(workers=3) as executor:
             outcomes = _run_map(executor, 8)
         assert len(outcomes) == 8
         assert all(o.outcome == "ok" for o in outcomes)
@@ -131,7 +129,7 @@ class TestOutcomeProtocol:
         assert set(workers) == {0, 1, 2}
 
     def test_context_manager_closes_pool(self):
-        executor = ThreadExecutor(workers=2)
+        executor = ProcessExecutor(workers=2)
         with executor:
             _run_map(executor, 4)
         assert executor._pool is None

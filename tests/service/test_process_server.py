@@ -10,7 +10,7 @@ import time
 
 import pytest
 
-from repro.errors import SchemaVersionError, ServiceError
+from repro.errors import BadRequestError, SchemaVersionError, ServiceError
 from repro.service import ServiceConfig, ShardProcessPool
 from repro.service.client import RetryingClient, ServiceClient
 from repro.service.server import ServiceHandle
@@ -175,3 +175,24 @@ class TestPoolNegotiation:
             assert pool.pids()[0] != first_pid
         finally:
             pool.stop_all()
+
+
+class TestOpValidation:
+    @pytest.mark.parametrize("shard_processes", [0, 1], ids=["in-process", "process"])
+    def test_create_rejects_non_mapping_env(self, tmp_path, shard_processes):
+        """Both service modes run one op path, so a malformed ``env`` is a
+        ``bad_request`` whether the op runs in-process or on a shard."""
+        handle = ServiceHandle.start(
+            _config(tmp_path, shard_processes=shard_processes, replicate=False)
+        )
+        client = ServiceClient(*handle.address, tenant="t")
+        program = "x = gauss(mu, 1.0);\nreturn x;"
+        try:
+            for env in ("abc", [["mu", 1.0]]):
+                with pytest.raises(BadRequestError, match="'env' must be a mapping"):
+                    client.create("s0", program, env=env)
+            created = client.create("s0", program, env={"mu": 1.0}, seed=0)
+            assert created["session"] == "s0"
+        finally:
+            client.close()
+            handle.stop()

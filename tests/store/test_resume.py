@@ -25,13 +25,15 @@ from repro.store import CheckpointManager, dumps
 NUM_PARTICLES = 30
 
 
-def gaussian_model(mean):
-    def fn(t):
-        x = t.sample(Normal(mean, 1.0), "x")
-        t.observe(Normal(x, 0.5), 1.0, "y")
-        return x
+def gaussian_fn(t, mean):
+    # Module-level so the chain pickles for the process executor.
+    x = t.sample(Normal(mean, 1.0), "x")
+    t.observe(Normal(x, 0.5), 1.0, "y")
+    return x
 
-    return Model(fn)
+
+def gaussian_model(mean):
+    return Model(gaussian_fn, (mean,))
 
 
 def translator_chain(means):
@@ -154,9 +156,9 @@ class TestResumeByteIdentity:
         )
         assert dumps(resumed) == dumps(full)
 
-    def test_thread_executor(self, tmp_path, chain):
+    def test_process_executor(self, tmp_path, chain):
         models, translators = chain
-        kwargs = {"executor": "thread", "workers": 2}
+        kwargs = {"executor": "process", "workers": 2}
         full = run_full(translators, initial_collection(models), 7, **kwargs)
         resumed = kill_and_resume(
             tmp_path, translators, initial_collection(models), 7, 2, **kwargs

@@ -273,23 +273,24 @@ class TestTranslateExecutor:
             return [l for l in output.splitlines() if l.startswith("P(")]
 
         reference = posterior_lines(["--executor", "serial"])
-        assert posterior_lines(["--executor", "thread", "--workers", "2"]) == reference
+        assert posterior_lines(["--executor", "process", "--workers", "2"]) == reference
 
     def test_unknown_backend_rejected(self, burglary_files):
         old, new = burglary_files
-        with pytest.raises(SystemExit):
-            main(["translate", old, new, "--executor", "gpu"])
+        for backend in ("gpu", "thread"):
+            with pytest.raises(SystemExit):
+                main(["translate", old, new, "--executor", backend])
 
     def test_bad_worker_count_rejected(self, burglary_files):
         old, new = burglary_files
         with pytest.raises(SystemExit):
-            main(["translate", old, new, "--executor", "thread", "--workers", "0"])
+            main(["translate", old, new, "--executor", "serial", "--workers", "0"])
 
     def test_verbose_reports_worker_fault_column(self, burglary_files, capsys):
         old, new = burglary_files
         assert main(["translate", old, new, "-n", "30", "--seed", "0",
                      "--fault-policy", "drop", "--verbose",
-                     "--executor", "thread", "--workers", "2"]) == 0
+                     "--executor", "process", "--workers", "2"]) == 0
         lines = capsys.readouterr().out.splitlines()
         header = [l for l in lines if "by-worker" in l]
         assert header, "expected the by-worker column in the step table"
