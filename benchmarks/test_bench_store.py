@@ -3,7 +3,7 @@
 Measures the median latency of
 
 * one atomic checkpoint ``save`` and one verified ``load`` of a
-  realistic particle collection (JSON and binary wire formats),
+  realistic particle collection,
 * one session ``submit`` (translate request) on the fig8 regression
   workload, and one evict/reload round trip through the on-disk store,
 
@@ -61,10 +61,9 @@ def fig8_setup():
     return source, translator, collection
 
 
-@pytest.mark.parametrize("format", ["json", "binary"])
-def test_checkpoint_write_latency(fig8_setup, store_bench, tmp_path, format):
+def test_checkpoint_write_latency(fig8_setup, store_bench, tmp_path):
     _, _, collection = fig8_setup
-    manager = CheckpointManager(tmp_path, format=format)
+    manager = CheckpointManager(tmp_path)
     rng = np.random.default_rng(1)
     step = iter(range(10_000))
 
@@ -74,17 +73,16 @@ def test_checkpoint_write_latency(fig8_setup, store_bench, tmp_path, format):
     size = manager.path_for(0).stat().st_size
     store_bench({
         "operation": "checkpoint_write",
-        "series": format,
+        "series": "json",
         "num_particles": NUM_PARTICLES,
         "file_bytes": size,
         "median_latency_s": latency,
     })
 
 
-@pytest.mark.parametrize("format", ["json", "binary"])
-def test_checkpoint_restore_latency(fig8_setup, store_bench, tmp_path, format):
+def test_checkpoint_restore_latency(fig8_setup, store_bench, tmp_path):
     _, _, collection = fig8_setup
-    manager = CheckpointManager(tmp_path, format=format)
+    manager = CheckpointManager(tmp_path)
     manager.save(0, collection, rng=np.random.default_rng(1))
 
     latency = median_seconds(lambda: manager.load(0))
@@ -92,7 +90,7 @@ def test_checkpoint_restore_latency(fig8_setup, store_bench, tmp_path, format):
     assert loaded.collection.log_weights == collection.log_weights
     store_bench({
         "operation": "checkpoint_restore",
-        "series": format,
+        "series": "json",
         "num_particles": NUM_PARTICLES,
         "median_latency_s": latency,
     })

@@ -67,7 +67,6 @@ SPILL_CODES = {
     "return-value": "per-particle return values cannot be batched",
     "control-flow": "control flow branches on a sampled value",
     "execution": "the batched model execution raised",
-    "unspecified": "reason not annotated (legacy raise)",
 }
 
 #: Lint diagnostics derived from plan findings use this prefix.

@@ -95,12 +95,7 @@ class ColumnarSpill(Exception):
     human-readable ``detail``.
     """
 
-    def __init__(
-        self, code: str, detail: Optional[str] = None, *, stage: str = "preflight"
-    ):
-        if detail is None:
-            # Single-argument (legacy) form: the argument is the detail.
-            code, detail = "unspecified", code
+    def __init__(self, code: str, detail: str, *, stage: str = "preflight"):
         self.code = code
         self.detail = detail
         #: ``"preflight"`` when raised before the step consumed any
@@ -954,7 +949,6 @@ def columnar_infer_step(
     rng: np.random.Generator,
     mcmc_kernel,
     config,
-    step_index: Optional[int] = None,
     executor: Any = None,
 ) -> Tuple[ColumnarCollection, np.ndarray]:
     """Weigh a population under a translator, on columns: the translated

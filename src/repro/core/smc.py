@@ -512,7 +512,7 @@ def _infer_step(
                 try:
                     population, values = columnar.columnar_infer_step(
                         translator, traces, rng, mcmc_kernel, config,
-                        step_index=step_index, executor=executor,
+                        executor=executor,
                     )
                 except columnar.ColumnarSpill as raised:
                     # The batched run may have drawn fresh choices before

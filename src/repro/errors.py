@@ -148,7 +148,8 @@ class CodecError(StoreError, ValueError):
 
 
 class SchemaVersionError(CodecError):
-    """A stored document was written by a *newer* library version.
+    """A stored document was written by a *newer* library version, or in
+    the retired binary framing (``found`` is then None).
 
     Older schemas are migrated forward; newer ones are rejected so a
     downgraded library never half-reads state it does not understand.

@@ -60,8 +60,6 @@ class ServiceClient:
         :class:`~repro.errors.ServiceUnavailableError` (the server may
         be wedged — the caller can fall back to a degraded read or
         retry).
-    format:
-        Codec wire format for request bodies.
     """
 
     def __init__(
@@ -71,13 +69,11 @@ class ServiceClient:
         *,
         tenant: str = "default",
         timeout_s: float = 30.0,
-        format: str = "json",
     ):
         self.host = host
         self.port = int(port)
         self.tenant = tenant
         self.timeout_s = float(timeout_s)
-        self.format = format
         self._sock: Optional[socket.socket] = None
 
     # -- connection ------------------------------------------------------------
@@ -134,7 +130,7 @@ class ServiceClient:
         sock = self._sock
         assert sock is not None
         try:
-            body = dumps(request, self.format)
+            body = dumps(request)
             sock.sendall(_LENGTH.pack(len(body)) + body)
             (length,) = _LENGTH.unpack(_read_exact(sock, _LENGTH.size))
             response = loads(_read_exact(sock, length))

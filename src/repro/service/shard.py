@@ -367,7 +367,7 @@ class ShardLink:
         assert sock is not None
         try:
             sock.settimeout(timeout_s)
-            body = dumps(payload, "json")
+            body = dumps(payload)
             sock.sendall(_LENGTH.pack(len(body)) + body)
             (length,) = _LENGTH.unpack(_read_exact(sock, _LENGTH.size))
             response = loads(_read_exact(sock, length))

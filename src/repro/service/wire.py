@@ -5,7 +5,7 @@ Every message — request or response — is one frame::
     4-byte big-endian unsigned length | body
 
 where the body is a :mod:`repro.store.codec` document (canonical strict
-JSON by default), so anything the store can persist, the service can
+JSON), so anything the store can persist, the service can
 ship: posterior summaries with exact float fidelity, non-finite log
 weights, numpy scalars.  The frame length is checked against a hard cap
 *before* the body is read, so a poison length prefix cannot make the
@@ -128,20 +128,18 @@ async def read_frame(
         raise FrameError("connection closed mid-frame") from error
     try:
         return loads(body)
-    except Exception as error:  # CodecError, json errors, bad magic
+    except Exception as error:  # CodecError, incl. retired-format bodies
         raise FrameError(f"frame body is not a codec document: {error}") from error
 
 
-def frame_bytes(payload: Any, *, format: str = "json") -> bytes:
+def frame_bytes(payload: Any) -> bytes:
     """The full wire image of one message (length prefix + codec body)."""
-    body = dumps(payload, format)
+    body = dumps(payload)
     return _LENGTH.pack(len(body)) + body
 
 
-async def write_frame(
-    writer: asyncio.StreamWriter, payload: Any, *, format: str = "json"
-) -> None:
-    writer.write(frame_bytes(payload, format=format))
+async def write_frame(writer: asyncio.StreamWriter, payload: Any) -> None:
+    writer.write(frame_bytes(payload))
     await writer.drain()
 
 

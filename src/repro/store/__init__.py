@@ -3,9 +3,9 @@
 The durable-state layer for incremental inference (ROADMAP: durable,
 resumable, serveable posterior collections).  Three pieces:
 
-* :mod:`repro.store.codec` — versioned strict-JSON (+ optional binary)
-  serialization of traces, graph traces, weighted collections, SMC
-  stats, and RNG generator state, with bitwise log-weight fidelity;
+* :mod:`repro.store.codec` — versioned strict-JSON serialization of
+  traces, graph traces, weighted collections, SMC stats, and RNG
+  generator state, with bitwise log-weight fidelity;
 * :mod:`repro.store.checkpoint` — atomic, checksummed snapshots of
   ``infer_sequence``/annealing runs (wired to
   ``InferenceConfig.checkpoint_dir``/``checkpoint_every``), with
@@ -18,7 +18,6 @@ resumable, serveable posterior collections).  Three pieces:
 from .checkpoint import Checkpoint, CheckpointManager
 from .codec import (
     AST_REGISTRY,
-    BINARY_MAGIC,
     DISTRIBUTION_REGISTRY,
     SCHEMA_VERSION,
     decode_value,
@@ -32,7 +31,6 @@ from .session import InferenceSession, SessionManager
 
 __all__ = [
     "SCHEMA_VERSION",
-    "BINARY_MAGIC",
     "DISTRIBUTION_REGISTRY",
     "AST_REGISTRY",
     "serialize",

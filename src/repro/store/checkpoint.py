@@ -12,7 +12,7 @@ collection is byte-identical.
 File layout (one file per checkpointed step, ``step-00000007.ckpt``)::
 
     REPRO-CKPT 1 <sha256-of-body> <body-length>\\n
-    <body bytes — a repro.store.codec document, JSON or binary>
+    <body bytes — a repro.store.codec JSON document>
 
 Writes are atomic: the body goes to a temporary file in the same
 directory, is fsynced, and is renamed over the final name.  A crash
@@ -22,8 +22,9 @@ or bit-flipped file raises
 :class:`~repro.errors.CheckpointCorruptionError`;
 :meth:`CheckpointManager.load_latest` treats that as "fall back to the
 previous checkpoint" while :meth:`CheckpointManager.load` surfaces it.
-A checkpoint written by a *newer* library version raises
-:class:`~repro.errors.SchemaVersionError` and is never skipped over —
+A checkpoint written by a *newer* library version, or in the retired
+binary framing, raises :class:`~repro.errors.SchemaVersionError` and is
+never skipped over —
 silently resuming from an older checkpoint instead would corrupt the
 run's history.
 """
@@ -75,9 +76,6 @@ class CheckpointManager:
         Where checkpoint files live; created on first save.
     every:
         Save cadence for :meth:`maybe_save` (``1`` = every step).
-    format:
-        Wire format of the body: ``"json"`` (canonical strict JSON,
-        byte-stable — the default) or ``"binary"``.
     keep:
         When set, only the ``keep`` newest checkpoints are retained;
         older ones are deleted after each successful save.
@@ -88,16 +86,12 @@ class CheckpointManager:
         directory: Any,
         *,
         every: int = 1,
-        format: str = "json",
         keep: Optional[int] = None,
     ):
         self.directory = Path(directory)
         if int(every) < 1:
             raise ValueError(f"every must be >= 1, got {every!r}")
         self.every = int(every)
-        if format not in ("json", "binary"):
-            raise ValueError(f"unknown checkpoint format {format!r}")
-        self.format = format
         if keep is not None and int(keep) < 1:
             raise ValueError(f"keep must be >= 1, got {keep!r}")
         self.keep = None if keep is None else int(keep)
@@ -159,7 +153,7 @@ class CheckpointManager:
             "rng": rng,
             "extra": dict(extra or {}),
         }
-        body = dumps(payload, self.format)
+        body = dumps(payload)
         digest = hashlib.sha256(body).hexdigest()
         header = (
             f"{_HEADER_PREFIX.decode()} {_HEADER_VERSION} {digest} {len(body)}\n"
@@ -233,9 +227,9 @@ class CheckpointManager:
 
         Corrupt or truncated files are skipped with a warning (partial-
         write recovery: fall back to the previous snapshot).  A
-        newer-schema checkpoint is **not** skipped — it propagates as
-        :class:`~repro.errors.SchemaVersionError`, because quietly
-        resuming from an older step would silently rewind the run.
+        newer-schema or retired-format checkpoint is **not** skipped — it
+        propagates as :class:`~repro.errors.SchemaVersionError`, because
+        quietly resuming from an older step would silently rewind the run.
         """
         for step in reversed(self.list_steps()):
             try:

@@ -7,11 +7,9 @@ snapshots — goes through this module's two dual functions::
     document = serialize(obj)        # strict-JSON-able dict
     obj2     = deserialize(document)
 
-plus the byte-level pair :func:`dumps`/:func:`loads` which adds the two
-wire formats: canonical strict JSON (sorted keys, no whitespace, no bare
-``NaN``/``Infinity`` tokens) and an optional binary framing (magic +
-schema header + pickled document) for large collections where JSON
-encoding cost matters.
+plus the byte-level pair :func:`dumps`/:func:`loads` which adds the
+wire format: canonical strict JSON (sorted keys, no whitespace, no bare
+``NaN``/``Infinity`` tokens).
 
 Supported object kinds
 ----------------------
@@ -66,8 +64,6 @@ import base64
 import dataclasses
 import json
 import math
-import pickle
-import struct
 from typing import Any, Callable, Dict, List, Optional, Tuple, Type
 
 import numpy as np
@@ -84,7 +80,6 @@ from ..lang import ast as lang_ast
 
 __all__ = [
     "SCHEMA_VERSION",
-    "BINARY_MAGIC",
     "DISTRIBUTION_REGISTRY",
     "AST_REGISTRY",
     "serialize",
@@ -102,8 +97,10 @@ __all__ = [
 #: ``$derep`` tag (correspondence derivation reports).
 SCHEMA_VERSION = 3
 
-#: Leading bytes of the binary framing (never valid JSON).
-BINARY_MAGIC = b"\x89REPROSTORE\x00"
+#: Leading bytes of the retired binary framing.  :func:`loads` refuses
+#: bodies that start with them before decoding anything, so a stored or
+#: received body can never run code.
+_RETIRED_BINARY_MAGIC = b"\x89REPROSTORE\x00"
 
 _FORMAT_NAME = "repro-store"
 
@@ -412,11 +409,18 @@ def _encode_rng(rng: np.random.Generator) -> Dict[str, Any]:
 def _decode_rng(state: Any) -> np.random.Generator:
     state = decode_value(state)
     name = state.get("bit_generator") if isinstance(state, dict) else None
-    bit_generator_cls = getattr(np.random, name, None) if name else None
-    if bit_generator_cls is None:
+    bit_generator_cls = getattr(np.random, name, None) if isinstance(name, str) else None
+    if not (
+        isinstance(bit_generator_cls, type)
+        and issubclass(bit_generator_cls, np.random.BitGenerator)
+        and bit_generator_cls is not np.random.BitGenerator
+    ):
         raise CodecError(f"unknown bit generator in stored RNG state: {name!r}")
     bit_generator = bit_generator_cls()
-    bit_generator.state = state
+    try:
+        bit_generator.state = state
+    except (KeyError, TypeError, ValueError) as error:
+        raise CodecError(f"malformed {name} state in stored RNG: {error}") from error
     return np.random.Generator(bit_generator)
 
 
@@ -625,7 +629,7 @@ def decode_value(value: Any) -> Any:
 
 
 # ---------------------------------------------------------------------------
-# Documents and wire formats
+# Documents and the wire format
 # ---------------------------------------------------------------------------
 
 
@@ -664,43 +668,32 @@ def deserialize(document: Dict[str, Any]) -> Any:
     return decode_value(document["value"])
 
 
-def dumps(obj: Any, format: str = "json") -> bytes:
-    """Serialize ``obj`` to bytes.
+def dumps(obj: Any) -> bytes:
+    """Serialize ``obj`` to canonical strict JSON bytes.
 
-    ``"json"`` produces canonical strict JSON: sorted keys, no
-    whitespace, UTF-8 — so equal objects produce equal bytes, which is
-    what the kill-and-resume equivalence check compares.  ``"binary"``
-    frames the same document with :data:`BINARY_MAGIC`, a schema header,
-    and pickle (protocol 5); it skips JSON string formatting for large
-    collections but carries exactly the same information.
+    Sorted keys, no whitespace, UTF-8 — so equal objects produce equal
+    bytes, which is what the kill-and-resume equivalence check compares.
     """
-    document = serialize(obj)
-    if format == "json":
-        return json.dumps(
-            document, sort_keys=True, separators=(",", ":"), allow_nan=False
-        ).encode("utf-8")
-    if format == "binary":
-        header = BINARY_MAGIC + struct.pack(">H", SCHEMA_VERSION)
-        return header + pickle.dumps(document, protocol=5)
-    raise ValueError(f"unknown codec format {format!r}; choose 'json' or 'binary'")
+    return json.dumps(
+        serialize(obj), sort_keys=True, separators=(",", ":"), allow_nan=False
+    ).encode("utf-8")
 
 
 def loads(data: bytes) -> Any:
-    """Invert :func:`dumps`; the format is sniffed from the bytes."""
+    """Invert :func:`dumps`.
+
+    A body in the retired binary framing raises
+    :class:`~repro.errors.SchemaVersionError` without being decoded.
+    """
     if not isinstance(data, (bytes, bytearray)):
         raise CodecError(f"loads expects bytes, got {type(data).__name__}")
     data = bytes(data)
-    if data.startswith(BINARY_MAGIC):
-        header_end = len(BINARY_MAGIC) + 2
-        if len(data) < header_end:
-            raise CodecError("truncated binary document (incomplete header)")
-        (version,) = struct.unpack(">H", data[len(BINARY_MAGIC):header_end])
-        check_schema(version)
-        try:
-            document = pickle.loads(data[header_end:])
-        except Exception as error:
-            raise CodecError(f"cannot unpickle binary document: {error}") from error
-        return deserialize(document)
+    if data.startswith(_RETIRED_BINARY_MAGIC):
+        raise SchemaVersionError(
+            "document uses the retired binary framing, which this "
+            "library no longer reads; re-create the state as JSON",
+            supported=SCHEMA_VERSION,
+        )
     try:
         document = json.loads(data.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as error:

@@ -261,8 +261,6 @@ class SessionManager:
         ``store_dir`` is None.
     config:
         Base inference config handed to new and reloaded sessions.
-    format:
-        Codec wire format for evicted sessions (``"json"``/``"binary"``).
     """
 
     def __init__(
@@ -271,16 +269,12 @@ class SessionManager:
         *,
         capacity: int = 4,
         config: Optional[InferenceConfig] = None,
-        format: str = "json",
     ):
         if int(capacity) < 1:
             raise ValueError(f"capacity must be >= 1, got {capacity!r}")
         self.store_dir = None if store_dir is None else Path(store_dir)
         self.capacity = int(capacity)
         self.config = config
-        if format not in ("json", "binary"):
-            raise ValueError(f"unknown session store format {format!r}")
-        self.format = format
         self.metrics = MetricsRegistry()
         self._live: "OrderedDict[str, InferenceSession]" = OrderedDict()
         #: Guards the live table, the LRU order, and the evict/reload
@@ -388,7 +382,7 @@ class SessionManager:
             session = self._live[session_id]
             # snapshot() takes the session lock, so a submit in flight on
             # another thread finishes (or rolls back) before we persist.
-            body = dumps(session.snapshot(), self.format)
+            body = dumps(session.snapshot())
             path.parent.mkdir(parents=True, exist_ok=True)
             tmp = path.with_name(f".tmp-{path.name}-{os.getpid()}")
             tmp.write_bytes(body)

@@ -142,7 +142,7 @@ def _require(condition: bool, message: str) -> None:
 def _snapshot_bytes(handle: ServiceHandle, session_ids: List[str]) -> Dict[str, bytes]:
     store = handle.service.store
     return {
-        sid: dumps(store.manager.get(sid).snapshot(), "json") for sid in session_ids
+        sid: dumps(store.manager.get(sid).snapshot()) for sid in session_ids
     }
 
 

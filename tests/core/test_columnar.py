@@ -293,11 +293,10 @@ class TestCodecRoundTrip:
     def test_schema_version_bumped_for_ccoll(self):
         assert SCHEMA_VERSION >= 2
 
-    @pytest.mark.parametrize("fmt", ["json", "binary"])
-    def test_round_trip(self, fmt):
+    def test_round_trip(self):
         coll = _population(_regression_model(with_flip=True), n=10)
         columnar = ColumnarCollection.from_weighted(coll)
-        restored = loads(dumps(columnar, fmt))
+        restored = loads(dumps(columnar))
         assert isinstance(restored, ColumnarCollection)
         assert np.array_equal(restored.log_weights, columnar.log_weights)
         assert restored.addresses() == columnar.addresses()

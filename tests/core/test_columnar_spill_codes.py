@@ -386,15 +386,6 @@ class TestEveryCodeReachableAndPredicted:
         # step still probed (no certain finding).
         assert plan.eligible
 
-    def test_unspecified_legacy_constructor(self):
-        spill = ColumnarSpill("just a detail")
-        assert spill.code == "unspecified"
-        assert spill.detail == "just a detail"
-        assert str(spill) == "[unspecified] just a detail"
-        two_arg = ColumnarSpill("items", "not traces")
-        assert (two_arg.code, two_arg.detail) == ("items", "not traces")
-        assert "unspecified" in SPILL_CODES
-
 
 class TestCodeInventory:
     def test_every_code_is_exercised(self):
@@ -415,7 +406,6 @@ class TestCodeInventory:
             "return-value",
             "control-flow",
             "execution",
-            "unspecified",
         }
         assert exercised == set(SPILL_CODES)
 

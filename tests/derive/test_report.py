@@ -3,7 +3,7 @@
 import json
 
 from repro.derive import AddressMatch, DerivationReport
-from repro.store.codec import deserialize, dumps, loads, serialize
+from repro.store.codec import deserialize, serialize
 
 
 def sample_report():
@@ -68,10 +68,6 @@ class TestCodecRoundTrip:
         document = serialize(report)
         json.dumps(document)  # strict JSON, no repr leakage
         assert deserialize(document) == report
-
-    def test_binary_round_trips(self):
-        report = sample_report()
-        assert loads(dumps(report, format="binary")) == report
 
     def test_empty_report_round_trips(self):
         report = DerivationReport(source_name="p", target_name="q")

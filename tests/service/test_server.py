@@ -8,6 +8,7 @@ queue-full, shedding, wedged, and deadline scenarios are deterministic
 rather than timing hopes.
 """
 
+import pickle
 import socket
 import struct
 import threading
@@ -29,6 +30,20 @@ from repro.store.codec import loads
 PROGRAM = "x = gauss(0.0, 2.0);\nreturn x;"
 OBSERVE = "observe(gauss(x, 1.0) == 0.5);"
 NUM_PARTICLES = 15
+
+#: Set by :func:`_spring_trap`; a server that ever executes a client's
+#: body as code would flip it.
+TRAP_SPRUNG = False
+
+
+def _spring_trap():
+    global TRAP_SPRUNG
+    TRAP_SPRUNG = True
+
+
+class _Trap:
+    def __reduce__(self):
+        return (_spring_trap, ())
 
 
 def _config(tmp_path, **kwargs):
@@ -157,6 +172,26 @@ class TestValidation:
             assert sock.recv(1) == b""
         finally:
             sock.close()
+
+    def test_retired_binary_frame_refused_without_running_it(self, handle):
+        """A body in the retired binary framing (magic, schema header,
+        pickle) is refused before it is unpickled, so its payload never
+        runs inside the server."""
+        sock = socket.create_connection(handle.address, timeout=10)
+        try:
+            body = b"\x89REPROSTORE\x00" + (3).to_bytes(2, "big") + pickle.dumps(_Trap())
+            sock.sendall(struct.pack(">I", len(body)) + body)
+            (length,) = struct.unpack(">I", sock.recv(4))
+            payload = b""
+            while len(payload) < length:
+                payload += sock.recv(length - len(payload))
+            response = loads(payload)
+        finally:
+            sock.close()
+        assert TRAP_SPRUNG is False
+        assert response["ok"] is False
+        assert response["error"]["code"] == "bad_request"
+        assert "retired binary framing" in response["error"]["message"]
 
     def test_request_id_echoed(self, handle):
         sock = socket.create_connection(handle.address, timeout=10)

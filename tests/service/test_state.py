@@ -121,7 +121,7 @@ class TestDurability:
         after = fresh.manager.get("s1").snapshot()
         from repro.store.codec import dumps
 
-        assert dumps(before, "json") == dumps(after, "json")
+        assert dumps(before) == dumps(after)
         assert fresh.meta("s1")["tenant"] == "alice"
 
     def test_recover_session_whose_steps_ran_columnar(self, tmp_path):

@@ -2,6 +2,7 @@
 
 import hashlib
 import os
+import pickle
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ import pytest
 from repro.core import Trace, WeightedCollection
 from repro.errors import CheckpointCorruptionError, SchemaVersionError
 from repro.store import Checkpoint, CheckpointManager
-from repro.store.codec import dumps
+from repro.store.codec import dumps, serialize
 
 
 def make_collection(rng, n=3):
@@ -38,12 +39,6 @@ class TestSaveLoad:
         # The restored RNG continues the original stream exactly.
         assert list(loaded.rng.standard_normal(3)) == list(rng.standard_normal(3))
 
-    def test_binary_format(self, tmp_path, collection):
-        manager = CheckpointManager(tmp_path, format="binary")
-        manager.save(0, collection)
-        loaded = manager.load(0)
-        assert loaded.collection.log_weights == collection.log_weights
-
     def test_rng_is_optional(self, tmp_path, collection):
         manager = CheckpointManager(tmp_path)
         manager.save(0, collection)
@@ -57,8 +52,6 @@ class TestSaveLoad:
     def test_constructor_validation(self, tmp_path):
         with pytest.raises(ValueError):
             CheckpointManager(tmp_path, every=0)
-        with pytest.raises(ValueError):
-            CheckpointManager(tmp_path, format="xml")
         with pytest.raises(ValueError):
             CheckpointManager(tmp_path, keep=0)
 
@@ -162,6 +155,18 @@ class TestSchemaVersion:
         self._forge(tmp_path, 1, header_version=99)
         with pytest.raises(SchemaVersionError):
             manager.load_latest()
+
+    def test_load_latest_never_skips_retired_binary_body(self, tmp_path, collection):
+        """A directory whose newest checkpoint is in the retired binary
+        framing (with a valid checksum) reports it, not an older step."""
+        manager = CheckpointManager(tmp_path)
+        manager.save(0, collection)
+        document = serialize({"step": 1, "collection": collection, "rng": None, "extra": {}})
+        body = b"\x89REPROSTORE\x00" + (3).to_bytes(2, "big") + pickle.dumps(document)
+        self._forge(tmp_path, 1, schema_body=body)
+        with pytest.raises(SchemaVersionError) as excinfo:
+            manager.load_latest()
+        assert excinfo.value.found is None
 
 
 class TestLoadLatest:

@@ -11,6 +11,7 @@ import dataclasses
 import inspect
 import json
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -40,7 +41,6 @@ from repro.errors import CodecError, SchemaVersionError
 from repro.graph import GraphTranslator, replace_constant, run_initial
 from repro.lang import lang_model, parse_program
 from repro.store import (
-    BINARY_MAGIC,
     DISTRIBUTION_REGISTRY,
     SCHEMA_VERSION,
     deserialize,
@@ -238,14 +238,6 @@ class TestCollectionRoundTrip:
         restored.metadata[0]["origin"] = 99
         assert collection.metadata[0]["origin"] == 0
 
-    def test_binary_format_round_trip(self, rng):
-        collection = self.make_collection(rng, metadata=[{"i": i} for i in range(4)])
-        body = dumps(collection, "binary")
-        assert body.startswith(BINARY_MAGIC)
-        restored = loads(body)
-        assert restored.log_weights == collection.log_weights
-        assert restored.metadata == collection.metadata
-
 
 class TestAuxiliaryTypes:
     def test_rng_state_continues_identically(self):
@@ -254,6 +246,26 @@ class TestAuxiliaryTypes:
         clone = deserialize(serialize(rng))
         assert clone is not rng
         assert list(clone.standard_normal(5)) == list(rng.standard_normal(5))
+
+    @pytest.mark.parametrize(
+        "state",
+        [
+            {"bit_generator": "seed"},
+            {"bit_generator": "Generator"},
+            {"bit_generator": "BitGenerator"},
+            {"bit_generator": 7},
+            {"bit_generator": "PCG64"},  # known generator, malformed state
+        ],
+    )
+    def test_rng_decodes_only_bit_generators(self, state):
+        before = np.random.get_state()
+        document = {"format": "repro-store", "schema": SCHEMA_VERSION,
+                    "value": {"$rng": state}}
+        with pytest.raises(CodecError):
+            deserialize(document)
+        after = np.random.get_state()
+        assert before[0] == after[0] and before[2:] == after[2:]
+        np.testing.assert_array_equal(before[1], after[1])
 
     def test_stats_round_trip(self, burglary_original, burglary_refined, rng):
         from repro.core import CorrespondenceTranslator, infer
@@ -311,12 +323,12 @@ class TestWireFormat:
         with pytest.raises(SchemaVersionError):
             deserialize(document)
 
-    def test_newer_schema_rejected_in_binary_header(self, rng):
-        body = bytearray(dumps([1, 2, 3], "binary"))
-        offset = len(BINARY_MAGIC)
-        body[offset:offset + 2] = (SCHEMA_VERSION + 7).to_bytes(2, "big")
-        with pytest.raises(SchemaVersionError):
-            loads(bytes(body))
+    def test_retired_binary_framing_refused(self):
+        document = serialize([1, 2, 3])
+        body = b"\x89REPROSTORE\x00" + (3).to_bytes(2, "big") + pickle.dumps(document)
+        with pytest.raises(SchemaVersionError, match="retired binary framing") as excinfo:
+            loads(body)
+        assert excinfo.value.found is None
 
     def test_garbage_rejected(self):
         with pytest.raises(CodecError):

@@ -80,8 +80,6 @@ class TestSessionLifecycle:
     def test_capacity_validation(self):
         with pytest.raises(ValueError):
             SessionManager(capacity=0)
-        with pytest.raises(ValueError):
-            SessionManager(format="xml")
 
 
 class TestEvictionAndReload:
@@ -166,12 +164,6 @@ class TestEvictionAndReload:
         manager.create("s1", initial, seed=1)
         assert manager.close("s1", persist=False) is None
         assert manager.stored_sessions() == []
-
-    def test_binary_store_format(self, tmp_path, initial):
-        manager = SessionManager(tmp_path, format="binary")
-        manager.create("s1", initial, seed=1)
-        manager.evict("s1")
-        assert manager.get("s1").session_id == "s1"
 
 
 class TestMetrics:
