@@ -3,7 +3,9 @@
 Measures the median latency of
 
 * one atomic checkpoint ``save`` and one verified ``load`` of a
-  realistic particle collection,
+  realistic particle collection, as object traces (series ``json``) and
+  as a columnar collection (series ``columnar``, whose value, log-prob
+  and log-weight columns are numeric arrays),
 * one session ``submit`` (translate request) on the fig8 regression
   workload, and one evict/reload round trip through the on-disk store,
 
@@ -23,6 +25,7 @@ import numpy as np
 import pytest
 
 from repro import CorrespondenceTranslator
+from repro.core import ColumnarCollection
 from repro.core.importance import importance_sampling
 from repro.regression import (
     NoOutlierModelParams,
@@ -34,7 +37,9 @@ from repro.regression import (
 )
 from repro.store import CheckpointManager, SessionManager
 
-REPETITIONS = 5
+#: Timed repetitions per median: at 5, back-to-back runs of unchanged
+#: code spread ~50% in checkpoint restore on a 2-core container.
+REPETITIONS = 25
 NUM_PARTICLES = 200
 
 
@@ -61,8 +66,17 @@ def fig8_setup():
     return source, translator, collection
 
 
-def test_checkpoint_write_latency(fig8_setup, store_bench, tmp_path):
+def _series_collection(fig8_setup, series):
+    """The benchmark population in the layout a series stores."""
     _, _, collection = fig8_setup
+    if series == "columnar":
+        return ColumnarCollection.from_weighted(collection)
+    return collection
+
+
+@pytest.mark.parametrize("series", ["json", "columnar"])
+def test_checkpoint_write_latency(fig8_setup, store_bench, tmp_path, series):
+    collection = _series_collection(fig8_setup, series)
     manager = CheckpointManager(tmp_path)
     rng = np.random.default_rng(1)
     step = iter(range(10_000))
@@ -73,24 +87,25 @@ def test_checkpoint_write_latency(fig8_setup, store_bench, tmp_path):
     size = manager.path_for(0).stat().st_size
     store_bench({
         "operation": "checkpoint_write",
-        "series": "json",
+        "series": series,
         "num_particles": NUM_PARTICLES,
         "file_bytes": size,
         "median_latency_s": latency,
     })
 
 
-def test_checkpoint_restore_latency(fig8_setup, store_bench, tmp_path):
-    _, _, collection = fig8_setup
+@pytest.mark.parametrize("series", ["json", "columnar"])
+def test_checkpoint_restore_latency(fig8_setup, store_bench, tmp_path, series):
+    collection = _series_collection(fig8_setup, series)
     manager = CheckpointManager(tmp_path)
     manager.save(0, collection, rng=np.random.default_rng(1))
 
     latency = median_seconds(lambda: manager.load(0))
     loaded = manager.load(0)
-    assert loaded.collection.log_weights == collection.log_weights
+    assert np.array_equal(loaded.collection.log_weights, collection.log_weights)
     store_bench({
         "operation": "checkpoint_restore",
-        "series": "json",
+        "series": series,
         "num_particles": NUM_PARTICLES,
         "median_latency_s": latency,
     })

@@ -42,11 +42,20 @@ Supported object kinds
 Bitwise fidelity
 ----------------
 
-Log probabilities and log weights are stored as plain JSON numbers:
-Python's ``json`` emits ``repr(float)`` (the shortest string that parses
-back to the same IEEE-754 double), so finite floats survive a JSON round
-trip bit for bit.  The only floats JSON cannot carry — ``inf``, ``-inf``
-(a dropped particle's weight), ``nan`` — are encoded as explicit tags.
+Scalar floats (an object trace's log probabilities, a weighted
+collection's log weights) are stored as plain JSON numbers: Python's
+``json`` emits ``repr(float)`` (the shortest string that parses back to
+the same IEEE-754 double), so finite floats survive a JSON round trip
+bit for bit.  The only floats JSON cannot carry — ``inf``, ``-inf`` (a
+dropped particle's weight), ``nan`` — are encoded as explicit tags.
+
+Numeric arrays (bool, signed and unsigned integer, float — a columnar
+collection's value, log-prob and log-weight columns) are stored as their
+raw little-endian C-order bytes in base64 (schema 4), which is far
+cheaper than one ``repr`` per element and carries every bit as is:
+``-0.0``, NaN payloads, infinities and subnormals need no tags.  A
+decoded array is a fresh, writeable, native-byte-order copy.  Arrays of
+any other dtype keep the element-list form.
 
 Schema policy
 -------------
@@ -94,8 +103,9 @@ __all__ = [
 #: incompatible change; readers migrate older versions forward and
 #: reject newer ones.  History: 1 — initial layout; 2 — adds the
 #: ``$ccoll`` tag (columnar particle collections); 3 — adds the
-#: ``$derep`` tag (correspondence derivation reports).
-SCHEMA_VERSION = 3
+#: ``$derep`` tag (correspondence derivation reports); 4 — numeric
+#: ``$nd`` arrays carry raw bytes (``b64``) instead of an element list.
+SCHEMA_VERSION = 4
 
 #: Leading bytes of the retired binary framing.  :func:`loads` refuses
 #: bodies that start with them before decoding anything, so a stored or
@@ -431,7 +441,21 @@ def _identity(value: Any) -> Any:
     return value
 
 
+#: ndarray dtype kinds stored as raw bytes: bool, int, uint, float.
+_RAW_KINDS = frozenset("biuf")
+
+
 def _encode_ndarray(value: np.ndarray) -> Any:
+    if value.dtype.kind in _RAW_KINDS:
+        little = value.dtype.newbyteorder("<")
+        raw = value.astype(little, copy=False).tobytes(order="C")
+        return {
+            "$nd": {
+                "dtype": little.str,
+                "shape": list(value.shape),
+                "b64": base64.b64encode(raw).decode("ascii"),
+            }
+        }
     return {
         "$nd": {
             "dtype": str(value.dtype),
@@ -439,6 +463,50 @@ def _encode_ndarray(value: np.ndarray) -> Any:
             "data": [encode_value(entry) for entry in value.ravel().tolist()],
         }
     }
+
+
+def _decode_ndarray(payload: Any) -> np.ndarray:
+    """Invert :func:`_encode_ndarray`, refusing malformed payloads.
+
+    A ``b64`` payload must decode to exactly ``prod(shape) * itemsize``
+    bytes, so the array is never larger than the document it came from.
+    """
+    shape = payload.get("shape") if isinstance(payload, dict) else None
+    if not (
+        isinstance(shape, list)
+        and all(type(n) is int and n >= 0 for n in shape)
+    ):
+        raise CodecError(
+            f"array shape must be a list of non-negative integers, got {shape!r}"
+        )
+    if "b64" not in payload:  # the element-list form
+        data = payload.get("data")
+        if not isinstance(data, list):
+            raise CodecError("array payload has neither b64 bytes nor a data list")
+        try:
+            array = np.array(decode_value(data), dtype=payload.get("dtype"))
+            return array.reshape(shape)
+        except (TypeError, ValueError, OverflowError) as error:
+            raise CodecError(f"malformed array payload: {error}") from error
+    name = payload.get("dtype")
+    try:
+        dtype = np.dtype(name) if isinstance(name, str) else None
+        raw = base64.b64decode(payload["b64"], validate=True)
+    except (TypeError, ValueError) as error:
+        raise CodecError(f"malformed array payload: {error}") from error
+    if dtype is None or dtype.kind not in _RAW_KINDS:
+        raise CodecError(f"array dtype {name!r} is not a bool, integer or float dtype")
+    expected = math.prod(shape) * dtype.itemsize
+    if len(raw) != expected:
+        raise CodecError(
+            f"array payload has {len(raw)} bytes, but dtype {name} and "
+            f"shape {shape} need {expected}"
+        )
+    try:
+        array = np.frombuffer(raw, dtype=dtype).reshape(shape)
+    except ValueError as error:  # more dimensions than numpy supports
+        raise CodecError(f"malformed array payload: {error}") from error
+    return array.astype(dtype.newbyteorder("="))
 
 
 def _encode_dict(value: Dict[Any, Any]) -> Any:
@@ -571,9 +639,7 @@ def decode_value(value: Any) -> Any:
         if tag == "$b":
             return base64.b64decode(value["$b"])
         if tag == "$nd":
-            payload = value["$nd"]
-            data = [decode_value(entry) for entry in payload["data"]]
-            return np.array(data, dtype=payload["dtype"]).reshape(payload["shape"])
+            return _decode_ndarray(value["$nd"])
         if tag == "$dist":
             name = value["$dist"]
             cls = DISTRIBUTION_REGISTRY.get(name)

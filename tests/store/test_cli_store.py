@@ -10,6 +10,8 @@ uninterrupted run.
 import hashlib
 import json
 import os
+import pathlib
+import shutil
 import subprocess
 import sys
 
@@ -20,6 +22,12 @@ from repro.store import CheckpointManager, loads
 from repro.store.codec import dumps
 
 GAUSS_TEMPLATE = "x = gauss(0, 2); observe(gauss(x, 1) == {target}); return x;"
+
+#: A columnar run's checkpoint directory as the schema-3 codec wrote it
+#: (see ``fixtures/schema3/README.md``).
+SCHEMA3_CHECKPOINTS = (
+    pathlib.Path(__file__).parent / "fixtures" / "schema3" / "ckpt-columnar"
+)
 
 
 @pytest.fixture
@@ -122,6 +130,22 @@ class TestResume:
         ])
         assert code == 0
         assert "resuming from" in capsys.readouterr().out
+        assert resumed_out.read_bytes() == full_out.read_bytes()
+
+    def test_columnar_resume_from_schema3_checkpoint(self, gauss_chain, tmp_path):
+        """On-disk state written before numeric arrays became raw bytes
+        still resumes byte-identically to an uninterrupted run."""
+        columnar = ["-n", "200", "--seed", "3", "--collection", "columnar"]
+        full_out = tmp_path / "full.bin"
+        assert main(["sequence", *gauss_chain, *columnar, "--out", str(full_out)]) == 0
+        ckpt = shutil.copytree(SCHEMA3_CHECKPOINTS, tmp_path / "ckpt")
+        assert b'"schema":3' in (ckpt / "step-00000000.ckpt").read_bytes()
+        resumed_out = tmp_path / "resumed.bin"
+        code = main([
+            "resume", *gauss_chain, "--collection", "columnar",
+            "--checkpoint-dir", str(ckpt), "--out", str(resumed_out),
+        ])
+        assert code == 0
         assert resumed_out.read_bytes() == full_out.read_bytes()
 
 

@@ -7,6 +7,7 @@ traces, and for weighted collections (including ``-inf`` weights and
 per-particle metadata).
 """
 
+import base64
 import dataclasses
 import inspect
 import json
@@ -15,6 +16,9 @@ import pickle
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import repro.distributions as dist_module
 from repro.core import ChoiceRecord, ObservationRecord, Trace, WeightedCollection
@@ -304,6 +308,133 @@ class TestAuxiliaryTypes:
     def test_nan_round_trips(self):
         restored = deserialize(serialize(float("nan")))
         assert math.isnan(restored)
+
+
+#: Every dtype the codec stores as raw bytes.
+RAW_DTYPES = [
+    np.dtype(name)
+    for name in (
+        "bool", "int8", "int16", "int32", "int64",
+        "uint8", "uint16", "uint32", "uint64", "float32", "float64",
+    )
+]
+
+
+@st.composite
+def numeric_arrays(draw):
+    """Numeric arrays in every layout: C, Fortran, strided, big-endian."""
+    dtype = draw(st.sampled_from(RAW_DTYPES))
+    shape = draw(hnp.array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=4))
+    array = draw(hnp.arrays(dtype, shape))
+    layout = draw(st.sampled_from(["c", "fortran", "strided", "big-endian"]))
+    if layout == "fortran":
+        array = np.asfortranarray(array)
+    elif layout == "strided" and array.ndim:
+        array = np.repeat(array, 2, axis=-1)[..., ::2]
+    elif layout == "big-endian":
+        array = array.astype(dtype.newbyteorder(">"))
+    return array
+
+
+def assert_bitwise_copy(restored, original):
+    native = original.dtype.newbyteorder("=")
+    assert isinstance(restored, np.ndarray)
+    assert restored.dtype == native and restored.dtype.isnative
+    assert restored.shape == original.shape
+    assert restored.tobytes() == original.astype(native).tobytes()
+    assert restored.flags.writeable
+
+
+class TestNumericArrays:
+    @given(numeric_arrays())
+    @settings(max_examples=200, deadline=None)
+    def test_round_trip_is_bitwise(self, array):
+        body = dumps(array)
+        payload = json.loads(body)["value"]["$nd"]
+        assert set(payload) == {"dtype", "shape", "b64"}
+        assert_bitwise_copy(loads(body), array)
+
+    def test_special_floats_keep_their_bits(self):
+        payload_nan = np.uint64(0x7FF8_0000_DEAD_BEEF).view(np.float64)
+        values = [
+            -0.0, float("nan"), -float("nan"), payload_nan, float("inf"),
+            -float("inf"), 5e-324, -2.2250738585072e-308, 1.0,
+        ]
+        for dtype in (np.float32, np.float64):
+            array = np.array(values, dtype=dtype)
+            body = dumps(array)
+            assert b"$f" not in body
+            assert_bitwise_copy(loads(body), array)
+
+    def test_other_dtypes_keep_the_element_list(self):
+        for array in (np.array(["a", "bc"]), np.array([1, "x", None], dtype=object)):
+            body = dumps(array)
+            assert "data" in json.loads(body)["value"]["$nd"]
+            restored = loads(body)
+            assert restored.dtype == array.dtype
+            assert restored.tolist() == array.tolist()
+
+    def test_element_list_form_still_decodes(self):
+        document = {
+            "format": "repro-store",
+            "schema": 3,
+            "value": {"$nd": {"dtype": "float64", "shape": [2, 2],
+                              "data": [0.5, {"$f": "-inf"}, -0.0, 3.0]}},
+        }
+        restored = deserialize(document)
+        assert restored.dtype == np.float64 and restored.flags.writeable
+        assert restored.tolist() == [[0.5, -math.inf], [-0.0, 3.0]]
+        assert math.copysign(1.0, restored[1, 0]) == -1.0
+
+
+def nd_document(**overrides):
+    payload = {"dtype": "<f8", "shape": [2], "b64": base64.b64encode(bytes(16)).decode()}
+    payload.update(overrides)
+    return {
+        "format": "repro-store", "schema": SCHEMA_VERSION, "value": {"$nd": payload},
+    }
+
+
+class TestMalformedArrays:
+    def test_well_formed_baseline_decodes(self):
+        assert deserialize(nd_document()).tolist() == [0.0, 0.0]
+
+    @pytest.mark.parametrize(
+        "dtype",
+        ["O", "|V16", "<f8,<f8", "<M8[ns]", "<U2", "<c16", "no-such-type", 8, None],
+    )
+    def test_non_numeric_dtype_rejected(self, dtype):
+        with pytest.raises(CodecError):
+            deserialize(nd_document(dtype=dtype))
+
+    @pytest.mark.parametrize("text", ["!!!!", "AAA", "AAAA AAAA", "é", 16, None])
+    def test_invalid_base64_rejected(self, text):
+        with pytest.raises(CodecError):
+            deserialize(nd_document(b64=text))
+
+    @pytest.mark.parametrize(
+        "shape", [[3], [1], [], [2, 2], [0]],
+    )
+    def test_byte_count_must_match_shape(self, shape):
+        with pytest.raises(CodecError, match="16 bytes"):
+            deserialize(nd_document(shape=shape))
+
+    @pytest.mark.parametrize(
+        "shape", [[-2], [-1, -2], [2.0], [1.5], ["2"], [True, 2], "2", 2, None],
+    )
+    def test_bad_shape_rejected(self, shape):
+        with pytest.raises(CodecError, match="shape"):
+            deserialize(nd_document(shape=shape))
+
+    def test_too_many_dimensions_rejected(self):
+        with pytest.raises(CodecError):
+            deserialize(nd_document(shape=[0] * 70, b64=""))
+
+    def test_missing_payload_rejected(self):
+        document = nd_document()
+        del document["value"]["$nd"]["b64"]
+        with pytest.raises(CodecError):
+            deserialize(document)
 
 
 class TestWireFormat:

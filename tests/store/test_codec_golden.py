@@ -7,9 +7,14 @@ seed inputs: an object collection of structured-language traces (with
 its RNG stream, as a checkpoint stores it), a columnar collection, and a
 dependency-graph trace.  A change that alters any of them changes what
 is on disk and must bump the schema instead.
+
+Older schemas stay readable: ``fixtures/schema3/<name>.json`` holds the
+same three inputs as the schema-3 codec wrote them, and each must
+decode to a value that re-encodes to today's bytes.
 """
 
 import hashlib
+import pathlib
 
 import numpy as np
 import pytest
@@ -19,7 +24,9 @@ from repro.core.importance import importance_sampling
 from repro.distributions import Flip, Gamma, Normal
 from repro.graph import run_initial
 from repro.lang import lang_model, parse_program
-from repro.store import dumps
+from repro.store import dumps, loads
+
+SCHEMA3_FIXTURES = pathlib.Path(__file__).parent / "fixtures" / "schema3"
 
 LANG_SOURCE = """
 slope = gauss(0.0, 2.0);
@@ -59,7 +66,7 @@ def _lang_checkpoint():
     rng = np.random.default_rng(11)
     model = lang_model(parse_program(LANG_SOURCE), name="golden")
     collection = importance_sampling(model, rng, 12)
-    collection.metadata = {"edit": 3, (1, "x"): [0.5, float("-inf")]}
+    collection.metadata = [{"edit": 3, (1, "x"): [0.5, float("-inf")]}] + [None] * 11
     return {"step": 3, "collection": collection, "rng": rng}
 
 
@@ -81,15 +88,15 @@ def _graph_trace():
 GOLDEN = {
     "lang-checkpoint": (
         _lang_checkpoint,
-        "ba7d1ba43986e9b9818c4428006ae3117c1b2d2b37138910aa3bdd0ce24ff043",
+        "80c6209f793d51c5d02d737726217b5d56e5813c5d51028e31ab6d82f7f9a5ca",
     ),
     "columnar": (
         _columnar_collection,
-        "df9ec45bf92cfd43df0d6bb864cae6e3b3631a2d13928a9ed6bf36037602acad",
+        "6591c8b732a6decd06df60f068352d266037d3bd2ce3a0d418370855d3cbcecf",
     ),
     "graph-trace": (
         _graph_trace,
-        "a0a9872738b28bd9e0f9e1deb234c032c703b3961410c6208ab4f21494f3a2da",
+        "d99875bf932e0a613c89cd8138e088fb51adebc16b823cd28ef5cb3e1c8ef407",
     ),
 }
 
@@ -98,3 +105,11 @@ GOLDEN = {
 def test_dumps_bytes_are_unchanged(name):
     build, expected = GOLDEN[name]
     assert hashlib.sha256(dumps(build())).hexdigest() == expected
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_schema3_bytes_decode_to_the_same_value(name):
+    build, _ = GOLDEN[name]
+    old = (SCHEMA3_FIXTURES / f"{name}.json").read_bytes()
+    assert b'"schema":3' in old
+    assert dumps(loads(old)) == dumps(build())

@@ -1,6 +1,12 @@
 """Tests for the command-line interface."""
 
+import contextlib
+import json
+import os
 import pathlib
+import subprocess
+import sys
+import time
 
 import pytest
 
@@ -540,15 +546,10 @@ class TestServeAndLoadgen:
         assert code == 2
         assert "wire schema" in capsys.readouterr().err
 
-    def test_serve_subprocess_handshake_and_graceful_stop(self, tmp_path):
-        import os
-        import signal as signal_module
-        import subprocess
-        import sys
-        import time
-
-        from repro.service import ServiceClient
-
+    @staticmethod
+    @contextlib.contextmanager
+    def _serve_subprocess(tmp_path):
+        """``repro serve`` in a child process: yields ``(process, port)``."""
         port_file = tmp_path / "port"
         env = dict(os.environ)
         env["PYTHONPATH"] = "src"
@@ -570,14 +571,49 @@ class TestServeAndLoadgen:
                 assert process.poll() is None, process.stdout.read()
                 assert time.monotonic() < deadline
                 time.sleep(0.05)
-            port = int(port_file.read_text().strip())
+            yield process, int(port_file.read_text().strip())
+        finally:
+            if process.poll() is None:
+                process.kill()
+                process.wait(timeout=10)
+
+    def test_serve_subprocess_handshake_and_graceful_stop(self, tmp_path):
+        import signal as signal_module
+
+        from repro.service import ServiceClient
+
+        with self._serve_subprocess(tmp_path) as (process, port):
             with ServiceClient("127.0.0.1", port, tenant="cli") as client:
                 assert client.ping()["pong"] is True
                 client.create("s1", "x = flip(0.5);\nreturn x;", seed=1)
             process.send_signal(signal_module.SIGTERM)
             assert process.wait(timeout=30) == 0
             assert "shutting down" in process.stdout.read()
-        finally:
-            if process.poll() is None:
-                process.kill()
-                process.wait(timeout=10)
+
+    def test_serve_answers_a_malformed_array_with_bad_request(self, tmp_path):
+        # An array whose bytes disagree with its shape is refused at
+        # decode time, before the request reaches any handler.
+        import socket
+        import struct
+
+        from repro.service import ServiceClient
+        from repro.store.codec import SCHEMA_VERSION, loads
+
+        array = {"$nd": {"dtype": "<f8", "shape": [1000000], "b64": "AAAAAAAAAAA="}}
+        body = json.dumps({
+            "format": "repro-store", "schema": SCHEMA_VERSION,
+            "value": {"op": "ping", "payload": array},
+        }).encode()
+        with self._serve_subprocess(tmp_path) as (_, port):
+            with socket.create_connection(("127.0.0.1", port), timeout=10) as sock:
+                sock.sendall(struct.pack(">I", len(body)) + body)
+                (length,) = struct.unpack(">I", sock.recv(4))
+                reply = b""
+                while len(reply) < length:
+                    reply += sock.recv(length - len(reply))
+            response = loads(reply)
+            assert response["ok"] is False
+            assert response["error"]["code"] == "bad_request"
+            assert "array payload has 8 bytes" in response["error"]["message"]
+            with ServiceClient("127.0.0.1", port, tenant="cli") as client:
+                assert client.ping()["pong"] is True
