@@ -21,6 +21,7 @@ _SMC_RECORDS = []
 _STORE_RECORDS = []
 _SERVICE_RECORDS = []
 _DERIVE_RECORDS = []
+_LANG_RECORDS = []
 
 
 @pytest.fixture
@@ -84,6 +85,20 @@ def derive_bench():
     return record
 
 
+@pytest.fixture
+def lang_bench():
+    """Record one structured measurement destined for BENCH_lang.json.
+
+    Call it with a dict; ``operation``, ``series`` and
+    ``median_latency_ms`` are the conventional keys.
+    """
+
+    def record(entry):
+        _LANG_RECORDS.append(dict(entry))
+
+    return record
+
+
 def _write_bench_file(records, default_name, env_var):
     out = os.environ.get(env_var)
     if out is None:
@@ -113,3 +128,5 @@ def pytest_sessionfinish(session, exitstatus):
         )
     if _DERIVE_RECORDS:
         _write_bench_file(_DERIVE_RECORDS, "BENCH_derive.json", "BENCH_DERIVE_OUT")
+    if _LANG_RECORDS:
+        _write_bench_file(_LANG_RECORDS, "BENCH_lang.json", "BENCH_LANG_OUT")

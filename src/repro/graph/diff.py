@@ -12,6 +12,21 @@ standard tree diff specialized to the language:
   pairwise;
 * same-kind nodes recurse field by field.
 
+Each diff builds one :class:`~repro.lang.analysis.LabelFreeIndex` over
+both trees: a single pre-order pass gives every node an interned key
+for its label-free structure and its span in the pre-order list of
+random labels.  Equality modulo labels is then an integer comparison,
+and a wholesale match zips two spans, so a diff costs time linear in
+the two trees plus its LCS tables.  The LCS first takes the common
+prefix of the two statement lists as matched, which is exactly what
+the table's traceback would do, and builds the table on the rest only:
+an ``observe`` spliced before ``return`` leaves a table of a few cells.
+The common suffix is *not* trimmed: the traceback prefers the earliest
+match, and a suffix trim would pick a later one for repeated statements
+(against ``y = flip(0.2); x = flip(0.5); x = flip(0.5);`` the old
+program ``x = flip(0.5);`` maps to the first copy, and would map to the
+second after a suffix trim).
+
 The result is a map from new labels to old labels, convertible into an
 address :class:`~repro.core.correspondence.Correspondence` via
 :func:`label_correspondence`.  This is the paper's "informed heuristic":
@@ -22,10 +37,10 @@ only efficiency does.
 from __future__ import annotations
 
 from dataclasses import fields
-from typing import Dict, List, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from ..core.correspondence import Correspondence
-from ..lang.analysis import equal_modulo_labels, random_expressions, strip_labels
+from ..lang.analysis import LabelFreeIndex
 from ..lang.ast import Node, RandomExpr, Seq, Stmt
 
 __all__ = [
@@ -50,22 +65,37 @@ def flatten_seq(stmt: Stmt) -> List[Stmt]:
 
 def lcs_pairs(old: List[Stmt], new: List[Stmt]) -> List[Tuple[int, int]]:
     """Indices of a longest common subsequence under equality-modulo-labels."""
-    # Strip each statement's labels once, then compare stripped nodes
-    # with plain ``==``: O(n + m) strips instead of one pair per cell.
-    old_keys = [strip_labels(stmt) for stmt in old]
-    new_keys = [strip_labels(stmt) for stmt in new]
+    index = LabelFreeIndex()
+    return _key_lcs([index.key(stmt) for stmt in old], [index.key(stmt) for stmt in new])
+
+
+def _key_lcs(old: Sequence[int], new: Sequence[int]) -> List[Tuple[int, int]]:
+    # The traceback matches equal heads greedily, so the common prefix
+    # is matched pairwise and the table is needed only past it.
+    limit = min(len(old), len(new))
+    prefix = 0
+    while prefix < limit and old[prefix] == new[prefix]:
+        prefix += 1
+    pairs = [(i, i) for i in range(prefix)]
+    pairs.extend(
+        (prefix + i, prefix + j) for i, j in _lcs_table(old[prefix:], new[prefix:])
+    )
+    return pairs
+
+
+def _lcs_table(old: Sequence[int], new: Sequence[int]) -> List[Tuple[int, int]]:
     n, m = len(old), len(new)
     lengths = [[0] * (m + 1) for _ in range(n + 1)]
     for i in range(n - 1, -1, -1):
         for j in range(m - 1, -1, -1):
-            if old_keys[i] == new_keys[j]:
+            if old[i] == new[j]:
                 lengths[i][j] = 1 + lengths[i + 1][j + 1]
             else:
                 lengths[i][j] = max(lengths[i + 1][j], lengths[i][j + 1])
     pairs: List[Tuple[int, int]] = []
     i = j = 0
     while i < n and j < m:
-        if old_keys[i] == new_keys[j]:
+        if old[i] == new[j]:
             pairs.append((i, j))
             i += 1
             j += 1
@@ -79,27 +109,31 @@ def lcs_pairs(old: List[Stmt], new: List[Stmt]) -> List[Tuple[int, int]]:
 def align_labels(old: Node, new: Node) -> Dict[str, str]:
     """Map new-program random-expression labels to old-program labels."""
     mapping: Dict[str, str] = {}
-    _align(old, new, mapping)
+    _align(LabelFreeIndex(), old, new, mapping)
     return mapping
 
 
-def _match_wholesale(old: Node, new: Node, mapping: Dict[str, str]) -> None:
-    for old_random, new_random in zip(random_expressions(old), random_expressions(new)):
-        mapping[new_random.label] = old_random.label
+def _match_wholesale(
+    index: LabelFreeIndex, old: Node, new: Node, mapping: Dict[str, str]
+) -> None:
+    mapping.update(zip(index.random_labels(new), index.random_labels(old)))
 
 
-def _align(old: Node, new: Node, mapping: Dict[str, str]) -> None:
-    if equal_modulo_labels(old, new):
-        _match_wholesale(old, new, mapping)
+def _align(index: LabelFreeIndex, old: Node, new: Node, mapping: Dict[str, str]) -> None:
+    if index.key(old) == index.key(new):
+        _match_wholesale(index, old, new, mapping)
         return
     if isinstance(old, Seq) or isinstance(new, Seq):
         old_list = flatten_seq(old) if isinstance(old, Stmt) else [old]
         new_list = flatten_seq(new) if isinstance(new, Stmt) else [new]
-        matched = lcs_pairs(old_list, new_list)
+        matched = _key_lcs(
+            [index.key(stmt) for stmt in old_list],
+            [index.key(stmt) for stmt in new_list],
+        )
         for i, j in matched:
             # Matched statements are equal modulo labels: pair their
             # random expressions in pre-order.
-            _match_wholesale(old_list[i], new_list[j], mapping)
+            _match_wholesale(index, old_list[i], new_list[j], mapping)
         # Recurse into the gaps pairwise: statements between matches are
         # plausibly edits of each other.
         boundaries = [(-1, -1)] + matched + [(len(old_list), len(new_list))]
@@ -107,7 +141,7 @@ def _align(old: Node, new: Node, mapping: Dict[str, str]) -> None:
             gap_old = old_list[i0 + 1 : i1]
             gap_new = new_list[j0 + 1 : j1]
             for old_stmt, new_stmt in zip(gap_old, gap_new):
-                _align(old_stmt, new_stmt, mapping)
+                _align(index, old_stmt, new_stmt, mapping)
         return
     if type(old) is type(new):
         # Same node kind: if both are random expressions of the same kind,
@@ -120,7 +154,7 @@ def _align(old: Node, new: Node, mapping: Dict[str, str]) -> None:
             old_child = getattr(old, field_info.name)
             new_child = getattr(new, field_info.name)
             if isinstance(old_child, Node) and isinstance(new_child, Node):
-                _align(old_child, new_child, mapping)
+                _align(index, old_child, new_child, mapping)
         return
     # Different kinds: no correspondence below this point.
 

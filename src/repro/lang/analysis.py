@@ -9,15 +9,19 @@ Used by the edit/diff machinery (Section 6) and by tests:
   expression and no call;
 * :func:`equal_modulo_labels` — structural AST equality ignoring
   random-expression labels (labels encode source positions, so
-  pretty-print round-trips change them); :func:`strip_labels` gives the
-  label-free copy it compares, for callers comparing one node many times;
+  pretty-print round-trips change them);
+* :class:`LabelFreeIndex` — the key :func:`equal_modulo_labels` compares: one
+  pre-order pass gives every node an interned integer for its
+  label-free structure and its span in the pre-order list of random
+  labels, so callers comparing many subtrees (the Section 6 diff)
+  compare integers instead of re-walking or copying subtrees;
 * :func:`relabel` — canonical relabeling for comparing programs.
 """
 
 from __future__ import annotations
 
 from dataclasses import fields, is_dataclass, replace
-from typing import Dict, Iterator, List, Set
+from typing import Dict, Iterator, List, Set, Tuple
 
 from .ast import (
     Assign,
@@ -40,7 +44,7 @@ __all__ = [
     "free_variables",
     "assigned_variables",
     "equal_modulo_labels",
-    "strip_labels",
+    "LabelFreeIndex",
     "relabel",
 ]
 
@@ -162,29 +166,119 @@ def _free_stmt(stmt: Node, bound: Set[str], free: Set[str]) -> Set[str]:
     raise ValueError(f"unknown statement {stmt!r}")
 
 
-def strip_labels(node: Node) -> Node:
-    """A copy of the AST with every position-derived label blanked
-    (random expressions and call sites)."""
-    if not is_dataclass(node):
-        return node
-    updates: Dict[str, object] = {}
-    for field_info in fields(node):
-        value = getattr(node, field_info.name)
-        if isinstance(value, Node):
-            updates[field_info.name] = strip_labels(value)
-        elif isinstance(value, tuple) and any(isinstance(item, Node) for item in value):
-            updates[field_info.name] = tuple(
-                strip_labels(item) if isinstance(item, Node) else item
-                for item in value
-            )
-    if isinstance(node, (RandomExpr, Call)):
-        updates["label"] = ""
-    return replace(node, **updates) if updates else node
+class LabelFreeIndex:
+    """Label-free structure keys and random-label spans of AST nodes.
+
+    ``key(node)`` is an integer, interned per index: two nodes keyed by
+    the same index get equal keys exactly when they are equal modulo
+    labels — the same classes throughout, and non-label field values
+    equal under ``==`` (so ``1`` and ``1.0``, or ``0.0`` and ``-0.0``,
+    agree, and two distinct NaN objects do not).  ``random_labels(node)``
+    lists the labels of the node's random expressions in pre-order.
+
+    The first query on a node indexes its whole subtree in one pre-order
+    pass; every node of it is then a dictionary lookup away.  Nodes are
+    remembered by identity, so a subtree shared between (or within)
+    trees is visited once, and an index must not outlive the trees it
+    has seen.  Build one per comparison: keys of two indexes are
+    unrelated.
+    """
+
+    __slots__ = ("_interned", "_entries", "_labels", "_field_names")
+
+    def __init__(self) -> None:
+        self._interned: Dict[tuple, int] = {}
+        #: id(node) -> (key, start, end) of its span in ``_labels``.
+        self._entries: Dict[int, Tuple[int, int, int]] = {}
+        self._labels: List[str] = []
+        self._field_names: Dict[type, Tuple[str, ...]] = {}
+
+    def key(self, node: Node) -> int:
+        entry = self._entries.get(id(node))
+        if entry is None:
+            entry = self._visit(node)
+        return entry[0]
+
+    def random_labels(self, node: Node) -> List[str]:
+        entry = self._entries.get(id(node))
+        if entry is None:
+            entry = self._visit(node)
+        return self._labels[entry[1] : entry[2]]
+
+    def _names(self, cls: type) -> Tuple[str, ...]:
+        labelled = issubclass(cls, (RandomExpr, Call))
+        names = tuple(f.name for f in fields(cls) if not (labelled and f.name == "label"))
+        self._field_names[cls] = names
+        return names
+
+    def _visit(self, node: Node) -> Tuple[int, int, int]:
+        # The key is the node's class, its non-label field values with
+        # each child node replaced by the child's key, and a mask saying
+        # which fields held nodes (so a child's key never equals a plain
+        # number stored in the same field of another node).  The child
+        # loop is inlined, one frame per tree level, for deep ``Seq``
+        # spines.
+        entries = self._entries
+        labels = self._labels
+        start = len(labels)
+        if isinstance(node, RandomExpr):
+            labels.append(node.label)
+        cls = type(node)
+        names = self._field_names.get(cls)
+        if names is None:
+            names = self._names(cls)
+        parts: list = [cls]
+        mask = 0
+        bit = 1
+        for name in names:
+            value = getattr(node, name)
+            if isinstance(value, Node):
+                entry = entries.get(id(value))
+                if entry is None:
+                    entry = self._visit(value)
+                elif entry[1] != entry[2]:
+                    # Seen before: repeat its labels so this node's span
+                    # still lists its own subtree's, in pre-order.
+                    labels.extend(labels[entry[1] : entry[2]])
+                parts.append(entry[0])
+                mask |= bit
+            elif isinstance(value, tuple) and any(isinstance(i, Node) for i in value):
+                parts.append(self._tuple_key(value))
+                mask |= bit << 1
+            else:
+                parts.append(value)
+            bit <<= 2
+        parts.append(mask)
+        interned = self._interned
+        key = interned.setdefault(tuple(parts), len(interned))
+        entry = (key, start, len(labels))
+        entries[id(node)] = entry
+        return entry
+
+    def _tuple_key(self, items: tuple) -> tuple:
+        """A tuple field holding nodes (``Call.args``), keyed as
+        :meth:`_visit` keys fields."""
+        parts: list = []
+        mask = 0
+        for position, item in enumerate(items):
+            if isinstance(item, Node):
+                entry = self._entries.get(id(item))
+                if entry is None:
+                    entry = self._visit(item)
+                elif entry[1] != entry[2]:
+                    self._labels.extend(self._labels[entry[1] : entry[2]])
+                parts.append(entry[0])
+                mask |= 1 << position
+            else:
+                parts.append(item)
+        parts.append(mask)
+        return tuple(parts)
 
 
 def equal_modulo_labels(a: Node, b: Node) -> bool:
     """Structural equality ignoring random-expression labels."""
-    return strip_labels(a) == strip_labels(b)
+    index = LabelFreeIndex()
+    return index.key(a) == index.key(b)
 
 
 def relabel(node: Node, prefix: str = "r") -> Node:

@@ -317,19 +317,29 @@ def _decode_graph_trace(payload: Dict[str, Any]) -> GraphTrace:
 
 
 def _encode_collection(collection: WeightedCollection) -> Dict[str, Any]:
+    metadata = collection.metadata
+    if metadata is not None and len(metadata) != len(collection.items):
+        # The decoder's constructor would refuse it: never write a
+        # document that cannot be read back.
+        raise CodecError(
+            f"collection metadata has {len(metadata)} entries for "
+            f"{len(collection.items)} particles"
+        )
     return {
         "items": [encode_value(item) for item in collection.items],
         "log_weights": [_encode_float(float(w)) for w in collection.log_weights],
-        "metadata": encode_value(collection.metadata),
+        "metadata": encode_value(metadata),
     }
 
 
 def _decode_collection(payload: Dict[str, Any]) -> WeightedCollection:
-    return WeightedCollection(
-        [decode_value(item) for item in payload["items"]],
-        [float(decode_value(w)) for w in payload["log_weights"]],
-        metadata=decode_value(payload["metadata"]),
-    )
+    items = [decode_value(item) for item in payload["items"]]
+    log_weights = [float(decode_value(w)) for w in payload["log_weights"]]
+    metadata = decode_value(payload["metadata"])
+    try:
+        return WeightedCollection(items, log_weights, metadata=metadata)
+    except (TypeError, ValueError) as error:
+        raise CodecError(f"malformed collection: {error}") from error
 
 
 def _encode_columnar(collection: ColumnarCollection) -> Dict[str, Any]:

@@ -242,6 +242,25 @@ class TestCollectionRoundTrip:
         restored.metadata[0]["origin"] = 99
         assert collection.metadata[0]["origin"] == 0
 
+    def test_metadata_not_one_per_particle_refused_on_dump(self, rng):
+        collection = self.make_collection(rng, metadata=[{}, {}, {}, {}])
+        collection.metadata = [{"origin": 0}, {"origin": 1}]
+        with pytest.raises(CodecError, match="2 entries for 4 particles"):
+            serialize(collection)
+
+    @pytest.mark.parametrize("metadata", [[{}, {}], [], 5])
+    def test_crafted_metadata_refused_on_load(self, rng, metadata):
+        document = serialize(self.make_collection(rng))
+        document["value"]["$coll"]["metadata"] = metadata
+        with pytest.raises(CodecError, match="malformed collection"):
+            deserialize(document)
+
+    def test_crafted_weight_count_refused_on_load(self, rng):
+        document = serialize(self.make_collection(rng))
+        del document["value"]["$coll"]["log_weights"][0]
+        with pytest.raises(CodecError, match="4 items but 3 weights"):
+            deserialize(document)
+
 
 class TestAuxiliaryTypes:
     def test_rng_state_continues_identically(self):
