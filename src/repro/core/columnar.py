@@ -425,6 +425,12 @@ class ColumnarCollection:
         self._obs_order = tuple(obs_order)
         self._observations = observations
         self.return_value = return_value
+        if metadata is not None:
+            metadata = list(metadata)
+            if len(metadata) != num_particles:
+                raise ValueError(
+                    f"{num_particles} particles but {len(metadata)} metadata entries"
+                )
         self.metadata = metadata
         #: Original object traces, kept when the collection was converted
         #: from a WeightedCollection and not yet transformed — makes
@@ -621,7 +627,7 @@ class ColumnarCollection:
             tuple(obs_order),
             observations,
             return_value=_batch_values([t.return_value for t in items], num),
-            metadata=None if collection.metadata is None else list(collection.metadata),
+            metadata=collection.metadata,
             source_items=list(items),
         )
 
@@ -638,7 +644,7 @@ class ColumnarCollection:
             return WeightedCollection(
                 list(self._source_items),
                 self.log_weights.tolist(),
-                metadata=None if self.metadata is None else list(self.metadata),
+                metadata=self.metadata,
             )
         num = self.num_particles
         value_rows = {
@@ -676,7 +682,7 @@ class ColumnarCollection:
         return WeightedCollection(
             traces,
             self.log_weights.tolist(),
-            metadata=None if self.metadata is None else list(self.metadata),
+            metadata=self.metadata,
         )
 
 
@@ -1033,7 +1039,7 @@ def columnar_infer_step(
         tuple(handler.obs_order),
         handler.observations,
         return_value=handler.trace.return_value,
-        metadata=None if source.metadata is None else list(source.metadata),
+        metadata=source.metadata,
     )
 
     # -- Equation 2, term by term across the population ------------------

@@ -65,10 +65,15 @@ def children(node: Node) -> List[Node]:
 
 
 def walk(node: Node) -> Iterator[Node]:
-    """Pre-order traversal of the AST rooted at ``node``."""
-    yield node
-    for child in children(node):
-        yield from walk(child)
+    """Pre-order traversal of the AST rooted at ``node``.
+
+    Iterative, so a long ``Seq`` spine neither nests one generator per
+    level nor hits the recursion limit."""
+    stack = [node]
+    while stack:
+        node = stack.pop()
+        yield node
+        stack.extend(reversed(children(node)))
 
 
 def random_expressions(node: Node) -> List[RandomExpr]:
@@ -216,43 +221,65 @@ class LabelFreeIndex:
         # each child node replaced by the child's key, and a mask saying
         # which fields held nodes (so a child's key never equals a plain
         # number stored in the same field of another node).  The child
-        # loop is inlined, one frame per tree level, for deep ``Seq``
-        # spines.
+        # loop is inlined, one frame per tree level, and a new node in a
+        # node's last field is visited by the same loop rather than a
+        # call: a program is a ``Seq`` spine one level per statement,
+        # and the spine must not cost one frame per statement.  (Field
+        # names are distinct, so ``name is final`` holds for the last.)
         entries = self._entries
         labels = self._labels
-        start = len(labels)
-        if isinstance(node, RandomExpr):
-            labels.append(node.label)
-        cls = type(node)
-        names = self._field_names.get(cls)
-        if names is None:
-            names = self._names(cls)
-        parts: list = [cls]
-        mask = 0
-        bit = 1
-        for name in names:
-            value = getattr(node, name)
-            if isinstance(value, Node):
-                entry = entries.get(id(value))
-                if entry is None:
-                    entry = self._visit(value)
-                elif entry[1] != entry[2]:
-                    # Seen before: repeat its labels so this node's span
-                    # still lists its own subtree's, in pre-order.
-                    labels.extend(labels[entry[1] : entry[2]])
-                parts.append(entry[0])
-                mask |= bit
-            elif isinstance(value, tuple) and any(isinstance(i, Node) for i in value):
-                parts.append(self._tuple_key(value))
-                mask |= bit << 1
-            else:
-                parts.append(value)
-            bit <<= 2
-        parts.append(mask)
+        pending = []  # (node, start, parts) waiting for their last child's key
+        while True:
+            start = len(labels)
+            if isinstance(node, RandomExpr):
+                labels.append(node.label)
+            cls = type(node)
+            names = self._field_names.get(cls)
+            if names is None:
+                names = self._names(cls)
+            parts: list = [cls]
+            mask = 0
+            bit = 1
+            last = None
+            final = names[-1] if names else None
+            for name in names:
+                value = getattr(node, name)
+                if isinstance(value, Node):
+                    entry = entries.get(id(value))
+                    if entry is None:
+                        if name is final:
+                            last = value
+                            parts.append(None)  # its key, once known
+                            mask |= bit
+                            break
+                        entry = self._visit(value)
+                    elif entry[1] != entry[2]:
+                        # Seen before: repeat its labels so this node's
+                        # span still lists its own subtree's, in pre-order.
+                        labels.extend(labels[entry[1] : entry[2]])
+                    parts.append(entry[0])
+                    mask |= bit
+                elif isinstance(value, tuple) and any(isinstance(i, Node) for i in value):
+                    parts.append(self._tuple_key(value))
+                    mask |= bit << 1
+                else:
+                    parts.append(value)
+                bit <<= 2
+            parts.append(mask)
+            if last is None:
+                break
+            pending.append((node, start, parts))
+            node = last
         interned = self._interned
         key = interned.setdefault(tuple(parts), len(interned))
         entry = (key, start, len(labels))
         entries[id(node)] = entry
+        # Every pending ancestor's span ends where its last child's does.
+        for node, start, parts in reversed(pending):
+            parts[-2] = entry[0]
+            key = interned.setdefault(tuple(parts), len(interned))
+            entry = (key, start, len(labels))
+            entries[id(node)] = entry
         return entry
 
     def _tuple_key(self, items: tuple) -> tuple:

@@ -13,8 +13,8 @@ The concrete syntax matches the programs as printed in the paper
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator, List
+import re
+from typing import List, NamedTuple
 
 __all__ = ["Token", "LexError", "tokenize", "KEYWORDS"]
 
@@ -34,9 +34,20 @@ KEYWORDS = {
     "array",
 }
 
-#: Multi-character operators, longest first so maximal munch works.
-_MULTI_OPS = ["==", "!=", "<=", ">=", "&&", "||", ".."]
-_SINGLE_OPS = set("+-*/<>!?=:;,(){}[]")
+#: One alternative per token class, tried in order at each position.
+#: A number is digits with at most one ``.`` that does not start ``..``
+#: (the range operator), or ``.`` then digits; operators list the
+#: multi-character ones first, so maximal munch works.  ``\d`` is
+#: ``str.isdecimal`` and ``\w`` is ``str.isalnum`` or ``_``, so only a
+#: digit that ``str.isdigit`` knows and ``\d`` does not (``²``) needs
+#: :func:`_number_end`.
+_TOKEN = re.compile(
+    r"(?P<space>[ \t\r\n]+)"
+    r"|(?P<comment>//[^\n]*)"
+    r"|(?P<number>\d+(?:\.(?!\.)\d*)?|\.\d+)"
+    r"|(?P<ident>[^\W\d]\w*)"
+    r"|(?P<op>==|!=|<=|>=|&&|\|\||\.\.|[-+*/<>!?=:;,(){}\[\]])"
+)
 
 
 class LexError(ValueError):
@@ -48,8 +59,7 @@ class LexError(ValueError):
         self.col = col
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     """One lexical token with its source position (1-based)."""
 
     kind: str  # "number", "ident", a keyword, or the operator itself
@@ -61,71 +71,67 @@ class Token:
         return f"Token({self.kind!r}, {self.text!r}, {self.line}:{self.col})"
 
 
+def _number_end(source: str, start: int) -> int:
+    """End of the number at ``start``, by ``str.isdigit``: digits and
+    at most one ``.`` that does not start ``..``."""
+    end, seen_dot = start, False
+    while end < len(source) and (
+        source[end].isdigit() or (source[end] == "." and not seen_dot)
+    ):
+        if source[end] == ".":
+            if source.startswith("..", end):
+                break
+            seen_dot = True
+        end += 1
+    return end
+
+
 def tokenize(source: str) -> List[Token]:
     """Tokenize ``source``; ``//`` comments run to end of line."""
-    return list(_scan(source))
-
-
-def _scan(source: str) -> Iterator[Token]:
+    tokens: List[Token] = []
+    append = tokens.append
+    match = _TOKEN.match
+    n = len(source)
     i = 0
     line = 1
-    col = 1
-    n = len(source)
-
-    def advance(count: int) -> None:
-        nonlocal i, line, col
-        for _ in range(count):
-            if i < n and source[i] == "\n":
-                line += 1
-                col = 1
-            else:
-                col += 1
-            i += 1
-
+    line_start = 0  # index of the current line's first character
     while i < n:
-        ch = source[i]
-        if ch in " \t\r\n":
-            advance(1)
+        found = match(source, i)
+        kind = found.lastgroup if found is not None else None
+        if kind == "space":
+            text = found.group()
+            newlines = text.count("\n")
+            if newlines:
+                line += newlines
+                line_start = i + text.rindex("\n") + 1
+            i = found.end()
             continue
-        if source.startswith("//", i):
-            while i < n and source[i] != "\n":
-                advance(1)
+        if kind == "comment":
+            i = found.end()
             continue
-        start_line, start_col = line, col
-        if ch.isdigit() or (ch == "." and i + 1 < n and source[i + 1].isdigit()):
-            j = i
-            seen_dot = False
-            while j < n and (source[j].isdigit() or (source[j] == "." and not seen_dot)):
-                if source[j] == ".":
-                    # ".." is the range operator, not a decimal point.
-                    if j + 1 < n and source[j + 1] == ".":
-                        break
-                    seen_dot = True
-                j += 1
-            text = source[i:j]
-            advance(j - i)
-            yield Token("number", text, start_line, start_col)
+        col = i - line_start + 1
+        if kind == "op":
+            text = found.group()
+            append(Token(text, text, line, col))
+            i = found.end()
             continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (source[j].isalnum() or source[j] == "_"):
-                j += 1
-            text = source[i:j]
-            advance(j - i)
-            kind = text if text in KEYWORDS else "ident"
-            yield Token(kind, text, start_line, start_col)
-            continue
-        matched = False
-        for op in _MULTI_OPS:
-            if source.startswith(op, i):
-                advance(len(op))
-                yield Token(op, op, start_line, start_col)
-                matched = True
-                break
-        if matched:
-            continue
-        if ch in _SINGLE_OPS:
-            advance(1)
-            yield Token(ch, ch, start_line, start_col)
-            continue
-        raise LexError(f"unexpected character {ch!r}", line, col)
+        if kind == "ident":
+            text = found.group()
+            if text[0].isascii() or text[0].isalpha():
+                append(Token(text if text in KEYWORDS else "ident", text, line, col))
+                i = found.end()
+                continue
+            # ``[^\W\d]`` also admits non-letters \d does not know: a
+            # digit like ``²`` (a number) or a numeral like ``½`` (an error).
+        if kind == "number":
+            end = found.end()
+            if end < n and not source[end].isascii():
+                end = _number_end(source, i)
+        else:
+            ch = source[i]
+            if not (ch.isdigit() or (ch == "." and source[i + 1 : i + 2].isdigit())):
+                raise LexError(f"unexpected character {ch!r}", line, col)
+            end = _number_end(source, i)
+        append(Token("number", source[i:end], line, col))
+        i = end
+    return tokens

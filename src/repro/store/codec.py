@@ -316,19 +316,22 @@ def _decode_graph_trace(payload: Dict[str, Any]) -> GraphTrace:
 # -- collections, stats, RNG state ------------------------------------------
 
 
-def _encode_collection(collection: WeightedCollection) -> Dict[str, Any]:
-    metadata = collection.metadata
-    if metadata is not None and len(metadata) != len(collection.items):
+def _encode_metadata(metadata: Any, num_particles: int) -> Any:
+    if metadata is not None and len(metadata) != num_particles:
         # The decoder's constructor would refuse it: never write a
         # document that cannot be read back.
         raise CodecError(
             f"collection metadata has {len(metadata)} entries for "
-            f"{len(collection.items)} particles"
+            f"{num_particles} particles"
         )
+    return encode_value(metadata)
+
+
+def _encode_collection(collection: WeightedCollection) -> Dict[str, Any]:
     return {
         "items": [encode_value(item) for item in collection.items],
         "log_weights": [_encode_float(float(w)) for w in collection.log_weights],
-        "metadata": encode_value(metadata),
+        "metadata": _encode_metadata(collection.metadata, len(collection.items)),
     }
 
 
@@ -380,7 +383,7 @@ def _encode_columnar(collection: ColumnarCollection) -> Dict[str, Any]:
             )
         ],
         "ret": encode_value(collection.return_value),
-        "metadata": encode_value(collection.metadata),
+        "metadata": _encode_metadata(collection.metadata, collection.num_particles),
     }
 
 
@@ -410,16 +413,22 @@ def _decode_columnar(payload: Dict[str, Any]) -> ColumnarCollection:
             decode_value(entry["d"]),
             decode_value(entry["vv"]),
         )
-    return ColumnarCollection(
-        num,
-        decode_value(payload["log_weights"]),
-        tuple(choice_order),
-        choices,
-        tuple(obs_order),
-        observations,
-        return_value=decode_value(payload["ret"]),
-        metadata=decode_value(payload["metadata"]),
-    )
+    log_weights = decode_value(payload["log_weights"])
+    return_value = decode_value(payload["ret"])
+    metadata = decode_value(payload["metadata"])
+    try:
+        return ColumnarCollection(
+            num,
+            log_weights,
+            tuple(choice_order),
+            choices,
+            tuple(obs_order),
+            observations,
+            return_value=return_value,
+            metadata=metadata,
+        )
+    except (TypeError, ValueError) as error:
+        raise CodecError(f"malformed columnar collection: {error}") from error
 
 
 def _encode_rng(rng: np.random.Generator) -> Dict[str, Any]:

@@ -8,14 +8,18 @@ queue-full, shedding, wedged, and deadline scenarios are deterministic
 rather than timing hopes.
 """
 
+import json
 import pickle
 import socket
 import struct
 import threading
 import time
 
+import numpy as np
 import pytest
 
+from repro.core.columnar import ColumnarCollection
+from repro.core.importance import importance_sampling
 from repro.errors import (
     BadRequestError,
     DeadlineExceededError,
@@ -23,9 +27,10 @@ from repro.errors import (
     QuotaExceededError,
     ServiceUnavailableError,
 )
+from repro.lang import lang_model, parse_program
 from repro.service import ServiceClient, ServiceConfig, ServiceHandle
 from repro.service.wire import frame_bytes
-from repro.store.codec import loads
+from repro.store.codec import loads, serialize
 
 PROGRAM = "x = gauss(0.0, 2.0);\nreturn x;"
 OBSERVE = "observe(gauss(x, 1.0) == 0.5);"
@@ -192,6 +197,31 @@ class TestValidation:
         assert response["ok"] is False
         assert response["error"]["code"] == "bad_request"
         assert "retired binary framing" in response["error"]["message"]
+
+    def test_crafted_columnar_metadata_is_bad_request(self, handle):
+        """A ``$ccoll`` whose metadata is not one entry per particle is a
+        malformed frame, answered ``bad_request`` at decode time."""
+        population = importance_sampling(
+            lang_model(parse_program(PROGRAM)), np.random.default_rng(0), 4
+        )
+        document = serialize(
+            {"op": "ping", "payload": ColumnarCollection.from_weighted(population)}
+        )
+        document["value"]["payload"]["$ccoll"]["metadata"] = [{}]
+        body = json.dumps(document).encode("utf-8")
+        sock = socket.create_connection(handle.address, timeout=10)
+        try:
+            sock.sendall(struct.pack(">I", len(body)) + body)
+            (length,) = struct.unpack(">I", sock.recv(4))
+            payload = b""
+            while len(payload) < length:
+                payload += sock.recv(length - len(payload))
+            response = loads(payload)
+        finally:
+            sock.close()
+        assert response["ok"] is False
+        assert response["error"]["code"] == "bad_request"
+        assert "malformed columnar collection" in response["error"]["message"]
 
     def test_request_id_echoed(self, handle):
         sock = socket.create_connection(handle.address, timeout=10)

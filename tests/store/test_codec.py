@@ -23,6 +23,7 @@ from hypothesis.extra import numpy as hnp
 import repro.distributions as dist_module
 from repro.core import ChoiceRecord, ObservationRecord, Trace, WeightedCollection
 from repro.core.address import normalize_address
+from repro.core.columnar import ColumnarCollection
 from repro.core.smc import SMCStats
 from repro.distributions import (
     Beta,
@@ -259,6 +260,52 @@ class TestCollectionRoundTrip:
         document = serialize(self.make_collection(rng))
         del document["value"]["$coll"]["log_weights"][0]
         with pytest.raises(CodecError, match="4 items but 3 weights"):
+            deserialize(document)
+
+
+class TestColumnarMetadata:
+    """``$ccoll`` metadata must be one entry per particle, as for ``$coll``."""
+
+    def make_columnar(self, rng):
+        return ColumnarCollection.from_weighted(
+            TestCollectionRoundTrip().make_collection(
+                rng, metadata=[{"origin": i} for i in range(4)]
+            )
+        )
+
+    def test_metadata_round_trips(self, rng):
+        restored = deserialize(serialize(self.make_columnar(rng)))
+        assert restored.metadata == [{"origin": i} for i in range(4)]
+
+    @pytest.mark.parametrize(
+        "metadata, error", [([{}], ValueError), ([], ValueError), (5, TypeError)]
+    )
+    def test_constructor_refuses_metadata_not_one_per_particle(
+        self, rng, metadata, error
+    ):
+        collection = self.make_columnar(rng)
+        with pytest.raises(error):
+            ColumnarCollection(
+                4,
+                collection.log_weights,
+                tuple(collection.addresses()),
+                collection._choices,
+                (),
+                {},
+                metadata=metadata,
+            )
+
+    def test_metadata_not_one_per_particle_refused_on_dump(self, rng):
+        collection = self.make_columnar(rng)
+        collection.metadata = [{"origin": 0}]
+        with pytest.raises(CodecError, match="1 entries for 4 particles"):
+            serialize(collection)
+
+    @pytest.mark.parametrize("metadata", [[{}], [], 5])
+    def test_crafted_metadata_refused_on_load(self, rng, metadata):
+        document = serialize(self.make_columnar(rng))
+        document["value"]["$ccoll"]["metadata"] = metadata
+        with pytest.raises(CodecError, match="malformed columnar collection"):
             deserialize(document)
 
 
