@@ -17,7 +17,13 @@ behavior (sampling profiles, per-step columnar probing).
 """
 
 from .interp import AnalysisFailure, analyze_model
-from .plan import SPILL_CODES, ColumnarPlan, PlanFinding, plan_columnar_step
+from .plan import (
+    SPILL_CODES,
+    ColumnarPlan,
+    PlanFinding,
+    plan_columnar_birth,
+    plan_columnar_step,
+)
 from .profile import AddressInfo, ControlSite, StaticProfile
 
 __all__ = [
@@ -29,5 +35,6 @@ __all__ = [
     "ColumnarPlan",
     "PlanFinding",
     "plan_columnar_step",
+    "plan_columnar_birth",
     "SPILL_CODES",
 ]

@@ -46,6 +46,7 @@ __all__ = [
     "PlanFinding",
     "ColumnarPlan",
     "plan_columnar_step",
+    "plan_columnar_birth",
 ]
 
 #: Stable spill reason codes, shared with
@@ -425,4 +426,32 @@ def plan_columnar_step(
     if isinstance(target, Model):
         plan.target_profile = _model_profile(target)
         plan.findings.extend(_profile_findings(plan.target_profile, "target"))
+    return plan
+
+
+def plan_columnar_birth(model: Any) -> ColumnarPlan:
+    """Predict the spill behaviour of sampling ``model``'s population in
+    one batched run (:meth:`repro.core.columnar.ColumnarCollection.importance_sample`).
+
+    That run is the target run of a step into ``model`` with nothing
+    reused, so the target-side findings apply unchanged.  A birth also
+    keeps the run's return value only when it is one column or one
+    shared value, so a per-particle container stays a possible
+    ``return-value`` spill.
+    """
+    from ...core.model import Model
+
+    plan = ColumnarPlan()
+    if isinstance(model, Model):
+        profile = plan.target_profile = _model_profile(model)
+        plan.findings.extend(_profile_findings(profile, "target"))
+        if profile.return_batchable is False:
+            plan.findings.append(
+                PlanFinding(
+                    "return-value",
+                    certain=False,
+                    subject="target",
+                    detail="the model returns a per-particle container",
+                )
+            )
     return plan

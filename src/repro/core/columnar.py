@@ -25,7 +25,10 @@ the same order, so weights, evidence increments, resampling indices, and
 estimates all agree byte for byte.  For structure-changing edits the
 fresh choices are drawn from the step RNG in a different order
 (per-address rather than per-particle), so the two paths are equal in
-distribution but not bitwise.
+distribution but not bitwise.  The same holds for a population sampled
+columnar from scratch (:meth:`ColumnarCollection.importance_sample`):
+its choices are drawn per address, and every log probability and log
+weight is bitwise what the object handlers compute for those values.
 
 Spilling
 --------
@@ -64,6 +67,7 @@ import numpy as np
 
 from ..distributions import Distribution
 from .address import Address, normalize_address
+from .correspondence import Correspondence
 from .trace import ChoiceMap, ChoiceRecord, ObservationRecord, Trace
 from .weighted import (
     RESAMPLING_SCHEMES,
@@ -629,6 +633,88 @@ class ColumnarCollection:
             return_value=_batch_values([t.return_value for t in items], num),
             metadata=collection.metadata,
             source_items=list(items),
+        )
+
+    @classmethod
+    def importance_sample(
+        cls, model, rng: np.random.Generator, num: int
+    ) -> "ColumnarCollection":
+        """Likelihood weighting in one batched run of ``model``.
+
+        The columnar image of
+        :func:`repro.core.importance.importance_sampling`: every choice is
+        drawn with one ``sample_batch`` per address, every observation is
+        scored with one ``log_prob_batch``, and each particle's log weight
+        is the plain ``+`` of its observation columns in execution order
+        (the accumulator of
+        :attr:`~repro.core.handlers.GenerateHandler.log_weight`).  Fresh
+        choices are drawn per address rather than per particle, so the
+        population equals the object one in distribution, not bitwise.
+
+        Raises :class:`ColumnarSpill` when the population cannot be
+        sampled columnar: a certain finding of the model's static plan,
+        or a planner fault (code ``plan-unavailable``; both at stage
+        ``"preflight"``, before any randomness is consumed), a
+        batched run that raises, or a return value that is neither one
+        numeric column nor one shared scalar (stage ``"probe"``, after the
+        run drew; a caller falling back restores the RNG's state first).
+        """
+        try:
+            from ..analysis.absint import plan_columnar_birth
+
+            blocking = plan_columnar_birth(model).blocking(num_particles=num)
+        except Exception as error:
+            # Without a plan a certain spill would draw before it fails,
+            # so a planner fault spills too, under its own code.
+            name = type(error).__name__
+            raise ColumnarSpill(PlanUnavailable.code, f"{name}: {error}") from error
+        if blocking is not None:
+            raise ColumnarSpill(blocking.code, blocking.detail)
+
+        empty = cls(num, np.zeros(num, dtype=np.float64), (), {}, (), {})
+        handler = _ColumnarForwardHandler(
+            rng, model.observations, Correspondence.empty(), empty, num
+        )
+        try:
+            with np.errstate(all="ignore"):
+                model.run(handler)
+        except ColumnarSpill as spill:
+            spill.stage = "probe"
+            raise
+        except Exception as error:
+            # The same reading of a failed batched run as the step's.
+            code = (
+                "control-flow"
+                if isinstance(error, ValueError) and "truth value" in str(error)
+                else "execution"
+            )
+            raise ColumnarSpill(
+                code, f"batched execution failed: {error!r}", stage="probe"
+            ) from error
+
+        returned = handler.trace.return_value
+        if isinstance(returned, np.ndarray):
+            kept = returned.shape == (num,) and returned.dtype.kind in "biuf"
+        else:
+            kept = returned is None or isinstance(returned, (bool, int, float))
+        if not kept:
+            raise ColumnarSpill(
+                "return-value",
+                f"a born return value must be one numeric column or one shared "
+                f"scalar, got {type(returned).__name__}",
+                stage="probe",
+            )
+        log_weights = np.zeros(num, dtype=np.float64)
+        for address in handler.obs_order:
+            log_weights = log_weights + handler.observations[address].log_probs
+        return cls(
+            num,
+            log_weights,
+            tuple(handler.choice_order),
+            handler.choices,
+            tuple(handler.obs_order),
+            handler.observations,
+            return_value=returned,
         )
 
     def to_weighted(self) -> WeightedCollection:

@@ -923,6 +923,11 @@ class InferenceService:
                 "needs_rebalance": self._needs_rebalance,
                 "pids": self._pool.pids(),
             }
+        else:
+            # The session manager's layout decisions at create
+            # (``store.birth_spills.<code>``, ``store.create_spills.<code>``);
+            # in process mode they live in each shard process's manager.
+            stats["store_metrics"] = self.store.manager.metrics_snapshot()
         return stats
 
     def trace_snapshot(self) -> Dict[str, Any]:

@@ -294,6 +294,37 @@ class DurableSessionStore:
             },
         )
 
+    def _sample(self, model, rng: np.random.Generator, particles: int) -> Any:
+        """A new session's resampled initial population.
+
+        Sampled columnar, in one batched run of the program, when the
+        program allows it.  A birth that spills restores the RNG and
+        samples object traces instead, exactly as an object-mode run
+        does, then stores them columnar when the columns hand every
+        trace back exactly.  Each spill is counted by code in the
+        session manager's registry.
+        """
+        metrics = self.manager.metrics
+        state = rng.bit_generator.state
+        try:
+            born = ColumnarCollection.importance_sample(model, rng, particles)
+            return born.resample(rng)
+        except ColumnarSpill as spill:
+            metrics.counter(f"store.birth_spills.{spill.code}").inc()
+            rng.bit_generator.state = state
+        collection = importance_sampling(model, rng, particles).resample(rng)
+        try:
+            stored = ColumnarCollection.from_weighted(collection)
+            returns = [trace.return_value for trace in collection.items]
+            if not _return_kinds_kept(returns, stored.return_value, len(returns)):
+                raise ColumnarSpill(
+                    "return-value", "batching would change a return value's kind"
+                )
+        except ColumnarSpill as spill:
+            metrics.counter(f"store.create_spills.{spill.code}").inc()
+            return collection
+        return stored
+
     def create_session(
         self,
         tenant: str,
@@ -320,20 +351,8 @@ class DurableSessionStore:
             raise BadRequestError(f"num_particles must be >= 1, got {particles}")
         model = lang_model(program, env=env, name="e0")
         rng = np.random.default_rng(seed)
-        collection = importance_sampling(model, rng, particles).resample(rng)
-        # Store the population columnar: only the layout changes.  One the
-        # columns cannot hand back exactly stays object, counted by code.
-        try:
-            stored = ColumnarCollection.from_weighted(collection)
-            returns = [trace.return_value for trace in collection.items]
-            if not _return_kinds_kept(returns, stored.return_value, len(returns)):
-                raise ColumnarSpill(
-                    "return-value", "batching would change a return value's kind"
-                )
-        except ColumnarSpill as spill:
-            self.manager.metrics.counter(f"store.create_spills.{spill.code}").inc()
-            stored = collection
-        session = self.manager.create(session_id, stored, rng=rng)
+        collection = self._sample(model, rng, particles)
+        session = self.manager.create(session_id, collection, rng=rng)
         meta = {"tenant": tenant, "program": source, "env": env}
         try:
             self._commit(session, meta)

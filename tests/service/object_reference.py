@@ -1,16 +1,20 @@
 """Object-mode replays of served sessions: the reference for the
 service's columnar steps.
 
-The service runs every step columnar (spilling per step); these helpers
-rerun the same session through the library with ``collection="object"``
-— the same program parses, correspondences, particle count and RNG
-stream as :class:`repro.service.state.DurableSessionStore` — so tests
-can require the served collections to be bitwise those of object mode.
+The service samples a session's population columnar at birth and runs
+every step columnar (spilling per step); these helpers start from the
+same library birth (:meth:`ColumnarCollection.importance_sample`, or
+object importance sampling when it spills, from the same RNG state) and
+rerun every step through the library with ``collection="object"`` — the
+same program parses, correspondences, particle count and RNG stream as
+:class:`repro.service.state.DurableSessionStore` — so tests can require
+the served collections to be bitwise those of object mode.
 """
 
 import numpy as np
 
 from repro.core import CorrespondenceTranslator, InferenceConfig, infer
+from repro.core.columnar import ColumnarCollection, ColumnarSpill
 from repro.core.importance import importance_sampling
 from repro.core.weighted import WeightedCollection
 from repro.graph import diff_correspondence
@@ -27,9 +31,14 @@ def replay_object_session(program, ops, *, num_particles, seed, env=None):
     env = dict(env or {})
     rng = np.random.default_rng(seed)
     parsed = parse_program(program)
-    collection = importance_sampling(
-        lang_model(parsed, env=env, name="e0"), rng, num_particles
-    ).resample(rng)
+    model = lang_model(parsed, env=env, name="e0")
+    state = rng.bit_generator.state
+    try:
+        born = ColumnarCollection.importance_sample(model, rng, num_particles)
+        collection = born.resample(rng).to_weighted()
+    except ColumnarSpill:
+        rng.bit_generator.state = state
+        collection = importance_sampling(model, rng, num_particles).resample(rng)
     config = InferenceConfig(resample="adaptive", collection="object")
     for op, payload in ops:
         program = insert_observation(program, payload) if op == "observe" else payload

@@ -122,6 +122,26 @@ class TestLifecycle:
         assert len(stats["shards"]) == 1
         assert stats["metrics"]["service.requests.create"]["value"] == 1
 
+    def test_stats_reports_layout_counters(self, client):
+        # Sampled branching: the birth spills before any draw, and the
+        # object population's address sets differ, so it stays object.
+        client.create(
+            "s1",
+            "z = flip(0.3);\nif z { y = gauss(0.0, 1.0); }\n"
+            "observe(gauss(1.0, 1.0) == 0.4);\nreturn z;",
+            seed=13,
+        )
+        client.create("s2", PROGRAM, seed=1)
+        counters = {
+            name: entry["value"]
+            for name, entry in client.stats()["store_metrics"].items()
+            if "_spills." in name
+        }
+        assert counters == {
+            "store.birth_spills.control-flow": 1,
+            "store.create_spills.address-structure": 1,
+        }
+
     def test_seeded_creates_are_deterministic(self, handle, client):
         client.create("a1", PROGRAM, seed=9)
         client.create("a2", PROGRAM, seed=9)

@@ -421,8 +421,11 @@ SCRIPTS = _served_scripts()
 
 
 class TestColumnarFromCreate:
-    """A served session is stored columnar from ``create`` on; only the
-    layout changes, never a sampled number."""
+    """A served session is sampled columnar at ``create`` when its
+    program allows, drawing per address as the library birth
+    (:meth:`ColumnarCollection.importance_sample`) does.  A birth that
+    spills samples the object population exactly as before and stores it
+    columnar whenever the columns hand every trace back exactly."""
 
     SEED = 13
 
@@ -538,6 +541,50 @@ class TestColumnarFromCreate:
         assert fingerprint(store.manager.get("s1").collection) == fingerprint(
             expected[1]
         )
+
+
+    #: code -> a served program whose columnar birth spills with it.
+    BIRTH_SPILLS = {
+        "control-flow": CONTROL_FLOW.format(p=0.3),
+        "execution": OBJECT_PROGRAMS["return-value-kind"],
+        "return-value": OBJECT_PROGRAMS["return-value-list"],
+    }
+
+    @staticmethod
+    def _spill_counters(store):
+        return {
+            name: entry["value"]
+            for name, entry in store.manager.metrics_snapshot().items()
+            if name.startswith("store.birth_spills.")
+        }
+
+    @pytest.mark.parametrize("code", sorted(BIRTH_SPILLS))
+    def test_spilled_birth_samples_the_object_population(self, tmp_path, code):
+        from repro.core.importance import importance_sampling
+        from repro.lang import lang_model, parse_program
+
+        program = self.BIRTH_SPILLS[code]
+        store = DurableSessionStore(self._config(tmp_path))
+        store.create_session("a", "s1", program, seed=self.SEED)
+        assert self._spill_counters(store) == {f"store.birth_spills.{code}": 1}
+        rng = np.random.default_rng(self.SEED)
+        model = lang_model(parse_program(program), name="e0")
+        expected = importance_sampling(model, rng, NUM_PARTICLES).resample(rng)
+        served = store.manager.get("s1")
+        assert fingerprint(served.collection) == fingerprint(expected)
+        assert served.rng.bit_generator.state == rng.bit_generator.state
+
+    @pytest.mark.parametrize("script", ["fig8-session", "gauss-chain", "gmm-edits"])
+    def test_eligible_birth_is_columnar_and_uncounted(self, tmp_path, script):
+        from repro.core.columnar import ColumnarCollection
+
+        program, _ = SCRIPTS[script]
+        store = DurableSessionStore(self._config(tmp_path))
+        store.create_session("a", "s1", program, seed=self.SEED)
+        assert self._spill_counters(store) == {}
+        collection = store.manager.get("s1").collection
+        assert isinstance(collection, ColumnarCollection)
+        assert collection._source_items is None  # born, not converted
 
 
 class TestAnalyzeOnce:
