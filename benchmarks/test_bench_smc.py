@@ -15,14 +15,19 @@ and records every measurement through the ``smc_bench`` fixture so the
 session writes ``BENCH_smc.json`` (see ``conftest.py``).  Two guards
 ride along: the columnar step must beat the object step by at least 3x
 at 1000 particles (the win that justifies the batched Distribution
-API), and its estimates must match the object step's bitwise.
+API), and its estimates must match the object step's bitwise.  One
+series is memory, recorded and not gated: the bytes an object
+population of the 305-point regression holds per record and per
+particle (``object-population-memory``).
 
 Run with ``pytest benchmarks/test_bench_smc.py -q`` (benchmarks are not
 collected by the default ``testpaths``).
 """
 
+import gc
 import os
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -271,6 +276,45 @@ def test_fig8_columnar_estimates_match_object_bitwise(
         run_step = _fig8_collection_step(fig8_setup, fig8_populations, mode, 100)
         estimates[mode] = run_step()
     assert estimates["object"] == estimates["columnar"]
+
+
+#: Particles of the memory series: ~150k records, a few seconds to build.
+MEMORY_PARTICLES = 500
+
+
+def test_fig8_object_population_memory(fig8_setup, smc_bench):
+    """Record what an exact-posterior object population of the 305-point
+    regression holds: tracemalloc bytes per record and per particle (the
+    traces, their records, distributions and scores; the model and its
+    observed values are shared and counted outside)."""
+    p_model, _q_model, posterior = fig8_setup
+    rng = np.random.default_rng(7)
+    exact_regression_trace(posterior, rng, p_model)  # the model's one-time state
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        traces = [
+            exact_regression_trace(posterior, rng, p_model)
+            for _ in range(MEMORY_PARTICLES)
+        ]
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    records = sum(len(t.choices()) + len(t.observations()) for t in traces)
+    smc_bench(
+        {
+            "figure": "fig8",
+            "series": "object-population-memory",
+            "workers": 1,
+            "num_particles": MEMORY_PARTICLES,
+            "records_per_particle": records / MEMORY_PARTICLES,
+            "bytes_per_record": held / records,
+            "bytes_per_particle": held / MEMORY_PARTICLES,
+        }
+    )
+    assert records == MEMORY_PARTICLES * 307
 
 
 @pytest.mark.parametrize("backend", [None, "serial", "process"])

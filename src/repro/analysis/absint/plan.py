@@ -109,6 +109,9 @@ class ColumnarPlan:
     findings: List[PlanFinding] = field(default_factory=list)
     source_profile: Optional[StaticProfile] = None
     target_profile: Optional[StaticProfile] = None
+    #: True for a birth plan (:func:`plan_columnar_birth`), which has no
+    #: source model: only the target profile bounds its codes.
+    birth: bool = False
 
     @property
     def eligible(self) -> bool:
@@ -133,14 +136,17 @@ class ColumnarPlan:
     def predicted_codes(self) -> FrozenSet[str]:
         """Every spill code a run of the planned step could raise.
 
-        Widens to all codes whenever either model resisted analysis:
+        Widens to all codes whenever a planned model resisted analysis:
         the plan refuses to rule out what it could not see.
         """
         codes: Set[str] = {f.code for f in self.findings}
         # The plan sees the translator and its models, never the input
         # collection — malformed-input spills stay possible regardless.
         codes.update(("collection-type", "items"))
-        for profile in (self.source_profile, self.target_profile):
+        profiles = (self.target_profile,)
+        if not self.birth:
+            profiles += (self.source_profile,)
+        for profile in profiles:
             if profile is None or not profile.complete:
                 codes.update(SPILL_CODES)
         if "control-flow" in codes:
@@ -441,7 +447,7 @@ def plan_columnar_birth(model: Any) -> ColumnarPlan:
     """
     from ...core.model import Model
 
-    plan = ColumnarPlan()
+    plan = ColumnarPlan(birth=True)
     if isinstance(model, Model):
         profile = plan.target_profile = _model_profile(model)
         plan.findings.extend(_profile_findings(profile, "target"))

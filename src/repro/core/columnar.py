@@ -60,6 +60,7 @@ from __future__ import annotations
 
 import copy as _copy
 import dataclasses
+import functools
 import math
 from typing import Any, ClassVar, Dict, List, Optional, Sequence, Tuple
 
@@ -158,11 +159,26 @@ def _column_view(column: np.ndarray, kind: str) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
+def _field_names(cls: type) -> Tuple[str, ...]:
+    """The dataclass field names of a distribution type (none for others)."""
+    if not dataclasses.is_dataclass(cls):
+        return ()
+    return tuple(f.name for f in dataclasses.fields(cls))
+
+
 def _has_array_params(dist: Distribution) -> bool:
+    """True when a field or instance attribute of ``dist`` is an ndarray.
+
+    Slotted distributions keep their fields out of ``__dict__``, so the
+    fields are read by name; a subclass without ``__slots__`` may also
+    hold parameters in its ``__dict__``.
+    """
+    for name in _field_names(type(dist)):
+        if isinstance(getattr(dist, name, None), np.ndarray):
+            return True
     state = getattr(dist, "__dict__", None)
-    if not state:
-        return False
-    return any(isinstance(v, np.ndarray) for v in state.values())
+    return bool(state) and any(isinstance(v, np.ndarray) for v in state.values())
 
 
 def _template_rebuild(dist: Distribution, transform) -> Distribution:
@@ -675,22 +691,7 @@ class ColumnarCollection:
         handler = _ColumnarForwardHandler(
             rng, model.observations, Correspondence.empty(), empty, num
         )
-        try:
-            with np.errstate(all="ignore"):
-                model.run(handler)
-        except ColumnarSpill as spill:
-            spill.stage = "probe"
-            raise
-        except Exception as error:
-            # The same reading of a failed batched run as the step's.
-            code = (
-                "control-flow"
-                if isinstance(error, ValueError) and "truth value" in str(error)
-                else "execution"
-            )
-            raise ColumnarSpill(
-                code, f"batched execution failed: {error!r}", stage="probe"
-            ) from error
+        _run_batched(model, handler)
 
         returned = handler.trace.return_value
         if isinstance(returned, np.ndarray):
@@ -772,6 +773,22 @@ class ColumnarCollection:
         )
 
 
+#: Particle rows per block of :func:`_fsum_rows`: at most this many rows
+#: of a population are Python floats at once.
+_FSUM_BLOCK = 256
+
+
+def _fsum_rows(num: int, columns: List[np.ndarray]) -> List[float]:
+    """``math.fsum`` of each particle's row across ``columns``."""
+    if not columns:
+        return [0.0] * num
+    sums: List[float] = []
+    for start in range(0, num, _FSUM_BLOCK):
+        block = np.stack([c[start:start + _FSUM_BLOCK] for c in columns], axis=1)
+        sums.extend(map(math.fsum, block.tolist()))
+    return sums
+
+
 def _fsum_totals(
     num: int,
     choice_columns: List[np.ndarray],
@@ -783,16 +800,8 @@ def _fsum_totals(
     particle's row here equals the object trace's two-``fsum`` total bit
     for bit.
     """
-    if choice_columns:
-        choice_rows = np.stack(choice_columns, axis=1).tolist()
-        choice_tot = [math.fsum(row) for row in choice_rows]
-    else:
-        choice_tot = [0.0] * num
-    if obs_columns:
-        obs_rows = np.stack(obs_columns, axis=1).tolist()
-        obs_tot = [math.fsum(row) for row in obs_rows]
-    else:
-        obs_tot = [0.0] * num
+    choice_tot = _fsum_rows(num, choice_columns)
+    obs_tot = _fsum_rows(num, obs_columns)
     return np.asarray(
         [c + o for c, o in zip(choice_tot, obs_tot)], dtype=np.float64
     )
@@ -867,8 +876,9 @@ class _ColumnarForwardHandler:
         address = normalize_address(address)
         if address in self.choices or address in self.observations:
             raise ValueError(f"duplicate random choice at address {address!r}")
-        if address in self._observations:
-            return self._observe_value(dist, self._observations[address], address)
+        observed = self._observations.lookup(address)
+        if observed is not None:
+            return self._observe_value(dist, observed[1], observed[0])
 
         source_address = self._correspondence.forward(address)
         if (
@@ -929,6 +939,34 @@ class _ColumnarForwardHandler:
         if address in self.observations:
             raise ValueError(f"duplicate observation at address {address!r}")
         self._observe_value(dist, value, address)
+
+
+def _run_batched(model, handler: _ColumnarForwardHandler) -> None:
+    """Run ``model`` once over the whole population; any failure spills
+    at stage ``"probe"``.
+
+    Column arithmetic may overflow or produce NaN lanes exactly as the
+    scalar path does, silently.  Array-in-bool-context, shape mismatches
+    and real model faults all spill: the object path re-runs the step
+    and reports (or contains) the true error per particle.  Numpy's
+    truth-value guard identifies the control-flow case (a branch
+    condition received a whole column).
+    """
+    try:
+        with np.errstate(all="ignore"):
+            model.run(handler)
+    except ColumnarSpill as spill:
+        spill.stage = "probe"
+        raise
+    except Exception as error:
+        code = (
+            "control-flow"
+            if isinstance(error, ValueError) and "truth value" in str(error)
+            else "execution"
+        )
+        raise ColumnarSpill(
+            code, f"batched execution failed: {error!r}", stage="probe"
+        ) from error
 
 
 # ---------------------------------------------------------------------------
@@ -1080,28 +1118,7 @@ def columnar_infer_step(
         source,
         num,
     )
-    try:
-        # Column arithmetic may overflow or produce NaN lanes exactly as
-        # the scalar path does, silently.
-        with np.errstate(all="ignore"):
-            translator.target.run(handler)
-    except ColumnarSpill as spill:
-        spill.stage = "probe"
-        raise
-    except Exception as error:
-        # Array-in-bool-context, shape mismatches, real model faults —
-        # the object path re-runs the step and reports (or contains) the
-        # true error per particle.  Numpy's truth-value guard identifies
-        # the control-flow case (a branch condition received a whole
-        # column).
-        code = (
-            "control-flow"
-            if isinstance(error, ValueError) and "truth value" in str(error)
-            else "execution"
-        )
-        raise ColumnarSpill(
-            code, f"batched execution failed: {error!r}", stage="probe"
-        ) from error
+    _run_batched(translator.target, handler)
 
     if executor is not None:
         # The object path spawns per-particle streams whenever an

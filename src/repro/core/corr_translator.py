@@ -89,8 +89,9 @@ class _ForwardTranslationHandler(TraceHandler):
 
     def sample(self, dist: Distribution, address) -> Any:
         address = normalize_address(address)
-        if address in self._observations:
-            return self._record_observed_choice(dist, address, self._observations[address])
+        observed = self._observations.lookup(address)
+        if observed is not None:
+            return self._record_observed_choice(dist, *observed)
 
         source_address = self._correspondence.forward(address)
         if source_address is not None and source_address in self._source_trace:
@@ -137,8 +138,9 @@ class _BackwardKernelScorer(TraceHandler):
 
     def sample(self, dist: Distribution, address) -> Any:
         address = normalize_address(address)
-        if address in self._observations:
-            return self._record_observed_choice(dist, address, self._observations[address])
+        observed = self._observations.lookup(address)
+        if observed is not None:
+            return self._record_observed_choice(dist, *observed)
         if address not in self._choices:
             raise MissingChoiceError(address)
         value = self._choices[address]

@@ -51,8 +51,9 @@ class _EnumerationHandler(TraceHandler):
 
     def sample(self, dist: Distribution, address) -> Any:
         address = normalize_address(address)
-        if address in self._observations:
-            return self._record_observed_choice(dist, address, self._observations[address])
+        observed = self._observations.lookup(address)
+        if observed is not None:
+            return self._record_observed_choice(dist, *observed)
         if self._next < len(self._forced):
             value = self._forced[self._next]
             self._next += 1

@@ -89,7 +89,9 @@ class TraceHandler(ABC):
 
         The paper's lightweight implementation represents observations as
         external constraints on addresses (Section 7.1); such a choice is
-        recorded as an observation rather than a latent choice.
+        recorded as an observation rather than a latent choice.  Callers
+        pass the observation map's own key (:meth:`ChoiceMap.lookup`), so
+        every trace of a model shares its observed addresses.
         """
         log_prob = dist.log_prob(value)
         self.trace.add_observation(ObservationRecord(address, dist, value, log_prob))
@@ -110,8 +112,9 @@ class SimulateHandler(TraceHandler):
 
     def sample(self, dist: Distribution, address) -> Any:
         address = normalize_address(address)
-        if address in self._observations:
-            return self._record_observed_choice(dist, address, self._observations[address])
+        observed = self._observations.lookup(address)
+        if observed is not None:
+            return self._record_observed_choice(dist, *observed)
         return self._record_choice(dist, address, dist.sample(self._rng))
 
 
@@ -139,8 +142,9 @@ class GenerateHandler(TraceHandler):
 
     def sample(self, dist: Distribution, address) -> Any:
         address = normalize_address(address)
-        if address in self._observations:
-            value = self._record_observed_choice(dist, address, self._observations[address])
+        observed = self._observations.lookup(address)
+        if observed is not None:
+            value = self._record_observed_choice(dist, *observed)
             self.log_weight += self.trace.get_observation(address).log_prob
             return value
         if address in self._constraints:
@@ -175,8 +179,9 @@ class ScoreHandler(TraceHandler):
 
     def sample(self, dist: Distribution, address) -> Any:
         address = normalize_address(address)
-        if address in self._observations:
-            return self._record_observed_choice(dist, address, self._observations[address])
+        observed = self._observations.lookup(address)
+        if observed is not None:
+            return self._record_observed_choice(dist, *observed)
         if address not in self._choices:
             raise MissingChoiceError(address)
         return self._record_choice(dist, address, self._choices[address])

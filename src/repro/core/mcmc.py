@@ -72,8 +72,9 @@ class _RegenerateHandler(TraceHandler):
 
     def sample(self, dist: Distribution, address) -> Any:
         address = normalize_address(address)
-        if address in self._observations:
-            return self._record_observed_choice(dist, address, self._observations[address])
+        observed = self._observations.lookup(address)
+        if observed is not None:
+            return self._record_observed_choice(dist, *observed)
         if address in self._constraints:
             self.used.add(address)
             return self._record_choice(dist, address, self._constraints[address])

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Any, Dict, Iterator, List, Mapping, Optional
+from typing import Any, Dict, Iterator, List, Mapping, Optional, Tuple
 
 from ..distributions import Distribution
 from .address import Address, normalize_address
@@ -23,7 +23,7 @@ from .address import Address, normalize_address
 __all__ = ["ChoiceRecord", "ObservationRecord", "Trace", "ChoiceMap"]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ChoiceRecord:
     """One random choice: its address, distribution, value, and score."""
 
@@ -37,7 +37,7 @@ class ChoiceRecord:
         return replace(self, value=value, log_prob=self.dist.log_prob(value))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ObservationRecord:
     """One ``observe``: the observed value and its score under the model.
 
@@ -63,6 +63,8 @@ class ChoiceMap:
 
     def __init__(self, values: Optional[Mapping[Any, Any]] = None):
         self._values: Dict[Address, Any] = {}
+        #: address -> (the key held here, value); built on first lookup.
+        self._entries: Optional[Dict[Address, Tuple[Address, Any]]] = None
         if values:
             for address, value in values.items():
                 self._values[normalize_address(address)] = value
@@ -75,6 +77,17 @@ class ChoiceMap:
 
     def get(self, address, default=None) -> Any:
         return self._values.get(normalize_address(address), default)
+
+    def lookup(self, address: Address) -> Optional[Tuple[Address, Any]]:
+        """``(key, value)`` for a normalized ``address``, or None.
+
+        ``key`` is the address object this map holds, so records made
+        from it share one address per model instead of one per trace.
+        """
+        entries = self._entries
+        if entries is None:
+            entries = self._entries = {a: (a, v) for a, v in self._values.items()}
+        return entries.get(address)
 
     def __iter__(self) -> Iterator[Address]:
         return iter(self._values)
@@ -98,13 +111,14 @@ class ChoiceMap:
 
 
 class Trace:
-    """An execution trace: ordered choices, observations, and return value."""
+    """An execution trace: ordered choices, observations, and return value.
+
+    Both record dicts keep insertion order, which is execution order.
+    """
 
     def __init__(self) -> None:
         self._choices: Dict[Address, ChoiceRecord] = {}
-        self._order: List[Address] = []
         self._observations: Dict[Address, ObservationRecord] = {}
-        self._obs_order: List[Address] = []
         self.return_value: Any = None
 
     # -- construction (used by handlers) ---------------------------------
@@ -113,13 +127,11 @@ class Trace:
         if record.address in self._choices:
             raise ValueError(f"duplicate random choice at address {record.address!r}")
         self._choices[record.address] = record
-        self._order.append(record.address)
 
     def add_observation(self, record: ObservationRecord) -> None:
         if record.address in self._observations:
             raise ValueError(f"duplicate observation at address {record.address!r}")
         self._observations[record.address] = record
-        self._obs_order.append(record.address)
 
     # -- access -----------------------------------------------------------
 
@@ -134,17 +146,17 @@ class Trace:
 
     def addresses(self) -> List[Address]:
         """Addresses of random choices, in execution order (``R_t``)."""
-        return list(self._order)
+        return list(self._choices)
 
     def observation_addresses(self) -> List[Address]:
         """Addresses of observations, in execution order (``O_t``)."""
-        return list(self._obs_order)
+        return list(self._observations)
 
     def choices(self) -> List[ChoiceRecord]:
-        return [self._choices[a] for a in self._order]
+        return list(self._choices.values())
 
     def observations(self) -> List[ObservationRecord]:
-        return [self._observations[a] for a in self._obs_order]
+        return list(self._observations.values())
 
     def get_observation(self, address) -> ObservationRecord:
         return self._observations[normalize_address(address)]
@@ -153,7 +165,7 @@ class Trace:
         return normalize_address(address) in self._observations
 
     def __len__(self) -> int:
-        return len(self._order)
+        return len(self._choices)
 
     # -- scores -----------------------------------------------------------
 
@@ -176,17 +188,15 @@ class Trace:
 
     def to_choice_map(self) -> ChoiceMap:
         """The bare address -> value mapping of the trace's choices."""
-        return ChoiceMap({a: self._choices[a].value for a in self._order})
+        return ChoiceMap({a: r.value for a, r in self._choices.items()})
 
     def copy(self) -> "Trace":
         duplicate = Trace()
         duplicate._choices = dict(self._choices)
-        duplicate._order = list(self._order)
         duplicate._observations = dict(self._observations)
-        duplicate._obs_order = list(self._obs_order)
         duplicate.return_value = self.return_value
         return duplicate
 
     def __repr__(self) -> str:
-        parts = [f"{a!r}: {self._choices[a].value!r}" for a in self._order]
+        parts = [f"{a!r}: {r.value!r}" for a, r in self._choices.items()]
         return f"Trace({{{', '.join(parts)}}}, log_prob={self.log_prob:.4f})"

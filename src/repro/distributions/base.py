@@ -143,7 +143,14 @@ class Distribution(ABC):
     distributions (same class, same parameters) implies equality of the
     induced probability measure, which the translator relies on when
     deciding whether a weight factor cancels.
+
+    The built-in subclasses are slotted dataclasses: a trace holds one
+    distribution per record, so an instance ``__dict__`` would be paid
+    per record.  Subclasses without ``__slots__`` keep a ``__dict__`` and
+    work unchanged.
     """
+
+    __slots__ = ()
 
     @abstractmethod
     def sample(self, rng: np.random.Generator) -> Any:
@@ -214,6 +221,8 @@ class Distribution(ABC):
 class DiscreteDistribution(Distribution):
     """Marker base class for distributions with countable support."""
 
+    __slots__ = ()
+
     def enumerate_support(self) -> Sequence[Any]:
         """Enumerate the support (must be finite for this to be called)."""
         support = self.support()
@@ -224,3 +233,5 @@ class DiscreteDistribution(Distribution):
 
 class ContinuousDistribution(Distribution):
     """Marker base class for distributions with a density."""
+
+    __slots__ = ()

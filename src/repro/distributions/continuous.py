@@ -73,7 +73,7 @@ def _masked(param, mask: np.ndarray):
     return param
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Normal(ContinuousDistribution):
     """Gaussian with the given ``mean`` and standard deviation ``std``."""
 
@@ -102,7 +102,7 @@ class Normal(ContinuousDistribution):
         return _REAL_LINE
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Uniform(ContinuousDistribution):
     """Continuous uniform on ``[low, high]``."""
 
@@ -135,7 +135,7 @@ class Uniform(ContinuousDistribution):
         return RealInterval(self.low, self.high)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TwoNormals(ContinuousDistribution):
     """Mixture of two Gaussians sharing a mean: inlier vs outlier.
 
@@ -199,7 +199,7 @@ class TwoNormals(ContinuousDistribution):
         return _REAL_LINE
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Gamma(ContinuousDistribution):
     """Gamma distribution with ``shape`` and ``scale`` parameters."""
 
@@ -246,7 +246,7 @@ class Gamma(ContinuousDistribution):
         return _POSITIVE
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Beta(ContinuousDistribution):
     """Beta distribution on ``[0, 1]``."""
 
@@ -287,7 +287,7 @@ class Beta(ContinuousDistribution):
         return RealInterval(0.0, 1.0)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LogNormal(ContinuousDistribution):
     """Log-normal: ``exp(Normal(mu, sigma))``."""
 
@@ -324,7 +324,7 @@ class LogNormal(ContinuousDistribution):
         return _POSITIVE
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Exponential(ContinuousDistribution):
     """Exponential distribution with the given ``rate``."""
 

@@ -43,7 +43,7 @@ def _integral_mask(values: np.ndarray) -> np.ndarray:
     return np.isfinite(values) & (np.floor(values) == values)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Flip(DiscreteDistribution):
     """``flip(p)``: 1 with probability ``p``, 0 with probability ``1 - p``."""
 
@@ -95,7 +95,7 @@ class Flip(DiscreteDistribution):
 Bernoulli = Flip
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class UniformDiscrete(DiscreteDistribution):
     """``uniform(low, high)``: integers in ``[low, high]``, equiprobable."""
 
@@ -128,7 +128,7 @@ class UniformDiscrete(DiscreteDistribution):
         return IntegerRange(self.low, self.high)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Categorical(DiscreteDistribution):
     """Categorical over ``0..len(probs)-1`` with the given probabilities."""
 
@@ -177,7 +177,7 @@ class Categorical(DiscreteDistribution):
         return IntegerRange(0, len(self.probs) - 1)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LogCategorical(DiscreteDistribution):
     """Categorical parameterized by unnormalized log probabilities.
 
@@ -232,7 +232,7 @@ class LogCategorical(DiscreteDistribution):
         return IntegerRange(0, len(self.log_probs) - 1)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Delta(DiscreteDistribution):
     """Point mass at ``value``; useful for deterministic constraints."""
 
@@ -260,7 +260,7 @@ class Delta(DiscreteDistribution):
         return FiniteSupport((self.value,))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Geometric(DiscreteDistribution):
     """Number of successes before the first failure of ``flip(p)``.
 
@@ -312,7 +312,7 @@ class Geometric(DiscreteDistribution):
         return IntegerRange(0, 2**63 - 1)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Poisson(DiscreteDistribution):
     """Poisson distribution with the given ``rate``."""
 

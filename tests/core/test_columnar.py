@@ -7,6 +7,7 @@ store codec round-trip (schema 2, ``$ccoll``).
 """
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -23,7 +24,7 @@ from repro.core import (
     infer,
     single_site_mh,
 )
-from repro.core.columnar import _fsum_totals, _merge_dists
+from repro.core.columnar import _FSUM_BLOCK, _fsum_totals, _merge_dists
 from repro.distributions import Flip, Gamma, Normal, UniformDiscrete
 from repro.errors import ReproError
 from repro.store.codec import SCHEMA_VERSION, dumps, loads
@@ -141,6 +142,44 @@ class TestResample:
         columnar = ColumnarCollection.from_weighted(_population(_regression_model()))
         with pytest.raises(ValueError, match="unknown resampling scheme"):
             columnar.resample(np.random.default_rng(0), scheme="bogus")
+
+
+class TestFsumTotals:
+    """The blocked row reduction equals one ``fsum`` per row of the whole
+    stacked population, bit for bit."""
+
+    @staticmethod
+    def _whole(num, columns):
+        if not columns:
+            return [0.0] * num
+        return [math.fsum(row) for row in np.stack(columns, axis=1).tolist()]
+
+    @pytest.mark.parametrize(
+        "num", [1, 7, _FSUM_BLOCK - 1, _FSUM_BLOCK + 1, 2 * _FSUM_BLOCK + 37]
+    )
+    @pytest.mark.parametrize("num_choices", [0, 3])
+    def test_blocks_match_whole_array_reduction(self, num, num_choices):
+        rng = np.random.default_rng(num)
+
+        def columns(count):
+            # Mixed magnitudes, so a sum that is not correctly rounded shows.
+            return [
+                rng.normal(size=num) * 10.0 ** float(rng.integers(-12, 12))
+                for _ in range(count)
+            ]
+
+        choices, observations = columns(num_choices), columns(40)
+        expected = np.asarray(
+            [
+                c + o
+                for c, o in zip(
+                    self._whole(num, choices), self._whole(num, observations)
+                )
+            ],
+            dtype=np.float64,
+        )
+        totals = _fsum_totals(num, choices, observations)
+        assert totals.tobytes() == expected.tobytes()
 
 
 class TestSpillTriggers:

@@ -126,6 +126,24 @@ SPILLS = {
 }
 
 
+#: Codes a plan predicts whatever it finds: it never sees the input.
+INPUT_CODES = {"collection-type", "items"}
+
+
+@pytest.mark.parametrize("name", sorted(EXACT) + ["burglary"])
+def test_complete_birth_plan_predicts_its_findings_only(name):
+    """A birth has no source model, so a complete target profile bounds
+    the prediction: its findings' codes and the input codes, not every
+    code."""
+    model = _model(BURGLARY_ORIGINAL if name == "burglary" else EXACT[name])
+    plan = plan_columnar_birth(model)
+    assert plan.target_profile.complete
+    codes = {f.code for f in plan.findings} | INPUT_CODES
+    if "control-flow" in codes:
+        codes.add("execution")
+    assert plan.predicted_codes() == codes
+
+
 class TestSpills:
     @pytest.mark.parametrize("code", sorted(SPILLS))
     def test_spill_code_stage_and_prediction(self, code):
@@ -138,6 +156,7 @@ class TestSpills:
             ColumnarCollection.importance_sample(model, rng, 50)
         assert (raised.value.code, raised.value.stage) == (code, stage)
         assert code in predicted
+        assert code in plan_columnar_birth(model).predicted_codes()
         # A certain finding spills before any draw.
         assert (rng.bit_generator.state == state) == (stage == "preflight")
 
